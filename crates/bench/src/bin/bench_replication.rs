@@ -17,7 +17,7 @@
 //! retains at the end — the bounded-memory claim as a measured number.
 //!
 //! A third section re-runs the batched configuration over the real TCP
-//! socket transport (`peats-net`'s loopback [`TcpCluster`]) — once raw and
+//! socket transport (`peats-net`'s loopback `TcpCluster`) — once raw and
 //! once with 1 ms of injected per-frame latency — quantifying what the
 //! kernel socket path and wire latency cost relative to in-memory
 //! channels.
@@ -44,30 +44,26 @@
 
 use peats::{Policy, PolicyParams, TupleSpace};
 use peats_bench::print_table;
-use peats_net::{TcpCluster, TcpClusterConfig, TcpConfig};
+use peats_net::{Sockets, TcpClusterConfig, TcpConfig};
 use peats_replication::{
-    ClientConfig, ClusterConfig, DurableConfig, DurableStore, PeatsService, Replica, ReplicaConfig,
-    ThreadedCluster,
+    ClientConfig, Cluster, ClusterConfig, DurableConfig, Fabric, PeatsService, ThreadedCluster,
+    Threads,
 };
 use peats_tuplespace::{template, tuple};
 use std::collections::BTreeMap;
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
-/// One timed cell: `clients` threads (one slot each) issue `ops` `out`
-/// operations each; returns aggregate ops/second with the slowest client's
-/// elapsed as the denominator (the coordinator cannot time the run: on a
-/// single-CPU box a client can finish before the coordinator reschedules).
-fn run_cell(clients: usize, ops: u64, config: ClusterConfig) -> f64 {
-    run_cell_with_slots(clients, ops, config).0
-}
-
-/// Like [`run_cell`] but also reports the largest slot log any replica
-/// retains once the run settles — the memory the checkpoint comparison
-/// makes visible.
-fn run_cell_with_slots(clients: usize, ops: u64, config: ClusterConfig) -> (f64, usize) {
+/// One timed cell on fabric `F` (thread channels or loopback TCP):
+/// `clients` threads (one slot each) issue `ops` `out` operations each.
+/// Returns aggregate ops/second — with the slowest client's elapsed as the
+/// denominator (the coordinator cannot time the run: on a single-CPU box a
+/// client can finish before the coordinator reschedules) — and the largest
+/// slot log any replica retains once the run settles, the memory the
+/// checkpoint comparison makes visible.
+fn run_cell<F: Fabric>(clients: usize, ops: u64, config: F::Config) -> (f64, usize) {
     let pids: Vec<u64> = (0..clients as u64).map(|i| 100 + i).collect();
-    let mut cluster = ThreadedCluster::start_with(
+    let mut cluster = Cluster::<F>::start_with(
         Policy::allow_all(),
         PolicyParams::new(),
         1,
@@ -106,39 +102,6 @@ fn run_cell_with_slots(clients: usize, ops: u64, config: ClusterConfig) -> (f64,
         .unwrap_or(0);
     cluster.shutdown();
     (throughput, max_slots)
-}
-
-/// [`run_cell`] over real loopback sockets: same workload shape, but every
-/// message crosses the kernel's TCP stack (optionally with injected
-/// per-frame latency).
-fn run_socket_cell(clients: usize, ops: u64, config: TcpClusterConfig) -> f64 {
-    let pids: Vec<u64> = (0..clients as u64).map(|i| 100 + i).collect();
-    let mut cluster = TcpCluster::start(Policy::allow_all(), PolicyParams::new(), 1, &pids, config)
-        .expect("allow-all policy has no parameters");
-    let barrier = Arc::new(Barrier::new(clients + 1));
-    let joins: Vec<_> = (0..clients)
-        .map(|c| {
-            let h = cluster.handle(c);
-            let barrier = Arc::clone(&barrier);
-            std::thread::spawn(move || {
-                barrier.wait();
-                let start = Instant::now();
-                for v in 0..ops {
-                    h.out(tuple!["LOAD", c as i64, v as i64]).unwrap();
-                }
-                start.elapsed()
-            })
-        })
-        .collect();
-    barrier.wait();
-    let slowest: Duration = joins
-        .into_iter()
-        .map(|j| j.join().unwrap())
-        .max()
-        .expect("at least one client");
-    let throughput = (clients as u64 * ops) as f64 / slowest.as_secs_f64();
-    cluster.shutdown();
-    throughput
 }
 
 /// Batched ordering configuration with the fast read path toggled.
@@ -213,17 +176,17 @@ fn aggregate(outcomes: Vec<MixOutcome>, fast_served: u64, fallbacks: u64) -> Rea
     }
 }
 
-/// One read-mix cell over thread channels: `clients` threads run
-/// [`read_mix`] concurrently; reads ride the fast path iff `fast`.
-fn run_read_cell(clients: usize, reads: u64, fast: bool) -> ReadCell {
+/// One read-mix cell on fabric `F`: `clients` threads run [`read_mix`]
+/// concurrently; reads ride the fast path iff `config` enables it.
+fn run_read_cell<F: Fabric>(clients: usize, reads: u64, config: F::Config) -> ReadCell {
     let pids: Vec<u64> = (0..clients as u64).map(|i| 100 + i).collect();
-    let mut cluster = ThreadedCluster::start_with(
+    let mut cluster = Cluster::<F>::start_with(
         Policy::allow_all(),
         PolicyParams::new(),
         1,
         &pids,
         &[],
-        read_mix_config(fast),
+        config,
     )
     .expect("allow-all policy has no parameters");
     let barrier = Arc::new(Barrier::new(clients + 1));
@@ -253,45 +216,12 @@ fn run_read_cell(clients: usize, reads: u64, fast: bool) -> ReadCell {
     cell
 }
 
-/// [`run_read_cell`] over real loopback sockets.
-fn run_socket_read_cell(clients: usize, reads: u64, fast: bool) -> ReadCell {
-    let pids: Vec<u64> = (0..clients as u64).map(|i| 100 + i).collect();
-    let mut cluster = TcpCluster::start(
-        Policy::allow_all(),
-        PolicyParams::new(),
-        1,
-        &pids,
-        TcpClusterConfig {
-            cluster: read_mix_config(fast),
-            tcp: TcpConfig::default(),
-        },
-    )
-    .expect("allow-all policy has no parameters");
-    let barrier = Arc::new(Barrier::new(clients + 1));
-    let joins: Vec<_> = (0..clients)
-        .map(|c| {
-            let h = cluster.handle(c);
-            let barrier = Arc::clone(&barrier);
-            std::thread::spawn(move || {
-                h.out(tuple!["HOT", c as i64]).unwrap();
-                barrier.wait();
-                let outcome = read_mix(&h, c, reads);
-                (outcome, h.fast_reads_served(), h.fast_read_fallbacks())
-            })
-        })
-        .collect();
-    barrier.wait();
-    let mut outcomes = Vec::new();
-    let (mut fast_served, mut fallbacks) = (0u64, 0u64);
-    for j in joins {
-        let (outcome, served, fell) = j.join().unwrap();
-        outcomes.push(outcome);
-        fast_served += served;
-        fallbacks += fell;
+/// [`read_mix_config`] over loopback TCP.
+fn socket_read_mix_config(fast: bool) -> TcpClusterConfig {
+    TcpClusterConfig {
+        cluster: read_mix_config(fast),
+        tcp: TcpConfig::default(),
     }
-    let cell = aggregate(outcomes, fast_served, fallbacks);
-    cluster.shutdown();
-    cell
 }
 
 /// What one blocking-mode run measured: wake-after-out latency quantiles
@@ -392,7 +322,7 @@ fn main() {
     let mut json_rows = Vec::new();
     let mut table_rows = Vec::new();
     for &clients in client_counts {
-        let baseline = run_cell(clients, ops, ClusterConfig::one_slot_per_request());
+        let baseline = run_cell::<Threads>(clients, ops, ClusterConfig::one_slot_per_request()).0;
         let mut record = |label: &str, batch_cap: usize, window: &str, tput: f64| {
             let speedup = tput / baseline;
             json_rows.push(format!(
@@ -421,7 +351,7 @@ fn main() {
                     "batched_pipelined",
                     cap,
                     &window.to_string(),
-                    run_cell(clients, ops, config),
+                    run_cell::<Threads>(clients, ops, config).0,
                 );
             }
         }
@@ -453,7 +383,7 @@ fn main() {
             checkpoint_interval: interval,
             ..ClusterConfig::default()
         };
-        let (tput, max_slots) = run_cell_with_slots(ckpt_clients, ckpt_ops, config);
+        let (tput, max_slots) = run_cell::<Threads>(ckpt_clients, ckpt_ops, config);
         ckpt_json.push(format!(
             "    {{\"checkpointing\": \"{label}\", \"checkpoint_interval\": {interval}, \
              \"clients\": {ckpt_clients}, \"ops_per_client\": {ckpt_ops}, \
@@ -498,10 +428,10 @@ fn main() {
     record_sock(
         "thread_channels",
         0,
-        run_cell(sock_clients, sock_ops, sock_proto.clone()),
+        run_cell::<Threads>(sock_clients, sock_ops, sock_proto.clone()).0,
     );
     for delay_ms in [0u64, 1] {
-        let tput = run_socket_cell(
+        let (tput, _) = run_cell::<Sockets>(
             sock_clients,
             sock_ops,
             TcpClusterConfig {
@@ -548,15 +478,15 @@ fn main() {
             ]);
         };
     for &clients in read_clients {
-        let ordered = run_read_cell(clients, reads, false);
-        let fast = run_read_cell(clients, reads, true);
+        let ordered = run_read_cell::<Threads>(clients, reads, read_mix_config(false));
+        let fast = run_read_cell::<Threads>(clients, reads, read_mix_config(true));
         let speedup = fast.reads_per_sec / ordered.reads_per_sec;
         record_read("thread_channels", clients, "ordered", &ordered, 1.0);
         record_read("thread_channels", clients, "fast", &fast, speedup);
     }
     for &clients in tcp_read_clients {
-        let ordered = run_socket_read_cell(clients, reads, false);
-        let fast = run_socket_read_cell(clients, reads, true);
+        let ordered = run_read_cell::<Sockets>(clients, reads, socket_read_mix_config(false));
+        let fast = run_read_cell::<Sockets>(clients, reads, socket_read_mix_config(true));
         let speedup = fast.reads_per_sec / ordered.reads_per_sec;
         record_read("tcp_loopback", clients, "ordered", &ordered, 1.0);
         record_read("tcp_loopback", clients, "fast", &fast, speedup);
@@ -635,7 +565,7 @@ fn main() {
             },
             ..ClusterConfig::default()
         };
-        let tput = run_cell(dur_clients, dur_ops, config);
+        let (tput, _) = run_cell::<Threads>(dur_clients, dur_ops, config);
         if let Some(dir) = scratch {
             let _ = std::fs::remove_dir_all(&dir);
         }
@@ -686,7 +616,7 @@ fn main() {
             1,
             &[100],
             &[],
-            config,
+            config.clone(),
         )
         .expect("allow-all policy has no parameters");
         let h = cluster.handle(0);
@@ -697,20 +627,12 @@ fn main() {
         cluster.shutdown();
 
         let start = Instant::now();
-        let (store, recovery) =
-            DurableStore::open(&dir.join("replica-0"), DurableConfig::default())
-                .expect("reopen replica 0's data dir");
         let service = PeatsService::new(Policy::allow_all(), PolicyParams::new())
             .expect("allow-all policy has no parameters");
-        let mut replica = Replica::new(
-            ReplicaConfig {
-                checkpoint_interval: 32,
-                ..ReplicaConfig::new(0, 4, 1)
-            },
-            service,
-            BTreeMap::from([(4u64, 100u64)]),
-        );
-        let report = replica.restore_durable(store, recovery);
+        let (replica, disk) = config.build_replica(0, 1, service, BTreeMap::from([(4, 100)]));
+        let report = disk
+            .expect("reopen replica 0's data dir")
+            .expect("the cluster is durable");
         let elapsed = start.elapsed();
         let fp = replica.footprint();
         let disk_bytes = fp.wal_bytes + fp.snapshot_bytes;

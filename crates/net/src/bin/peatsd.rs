@@ -21,8 +21,7 @@ use peats_policy::{
     analyze_with, digest_hex, has_errors, parse_policy_spanned, Policy, PolicyParams, PolicySpans,
     Severity,
 };
-use peats_replication::replica::{Replica, ReplicaConfig};
-use peats_replication::{replica_main, DurableConfig, DurableStore, PeatsService};
+use peats_replication::{replica_main, ClusterConfig, DurableConfig, PeatsService};
 use std::collections::BTreeMap;
 use std::io::Write;
 use std::net::SocketAddr;
@@ -174,30 +173,34 @@ fn run(args: Vec<String>) -> Result<(), String> {
 
     let service = PeatsService::new(policy, params).map_err(|e| format!("policy: {e}"))?;
 
-    let defaults = ReplicaConfig::new(id, n, f);
-    let cfg = ReplicaConfig {
+    let defaults = ClusterConfig::default();
+    let cluster = ClusterConfig {
         batch_cap: flags.parse_or("batch-cap", defaults.batch_cap)?,
         max_in_flight: flags.parse_or("max-in-flight", defaults.max_in_flight)?,
         checkpoint_interval: flags.parse_or("checkpoint-interval", defaults.checkpoint_interval)?,
+        progress_period: Duration::from_millis(flags.parse_or("progress-period-ms", 300u64)?),
+        data_dir: flags.get("data-dir").map(Into::into),
+        durable: DurableConfig {
+            fsync: flags.parse_or("fsync", true)?,
+            ..DurableConfig::default()
+        },
         ..defaults
     };
-    let progress_period = Duration::from_millis(flags.parse_or("progress-period-ms", 300u64)?);
     let tcp = TcpConfig {
         send_delay: Duration::from_millis(flags.parse_or("send-delay-ms", 0u64)?),
         ..TcpConfig::default()
     };
     let bind_patience = Duration::from_millis(flags.parse_or("bind-patience-ms", 5_000u64)?);
 
-    let mut replica = Replica::new(cfg, service, registry);
-    if let Some(dir) = flags.get("data-dir") {
-        let durable = DurableConfig {
-            fsync: flags.parse_or("fsync", true)?,
-            ..DurableConfig::default()
-        };
-        let dir = std::path::Path::new(&dir).join(format!("replica-{id}"));
-        let (store, recovery) = DurableStore::open(&dir, durable)
-            .map_err(|e| format!("--data-dir {}: {e}", dir.display()))?;
-        let report = replica.restore_durable(store, recovery);
+    let progress_period = cluster.progress_period;
+    let (replica, disk) = cluster.build_replica(id, f, service, registry);
+    // Unlike the in-process clusters, a daemon asked to be durable refuses
+    // to serve memory-only.
+    let dir = cluster
+        .data_dir
+        .unwrap_or_default()
+        .join(format!("replica-{id}"));
+    if let Some(report) = disk.map_err(|e| format!("--data-dir {}: {e}", dir.display()))? {
         println!(
             "peatsd: replica {id} recovered from {}: snapshot seq {:?}, {} batches replayed, last_exec {}{}{}",
             dir.display(),

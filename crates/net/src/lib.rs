@@ -10,9 +10,9 @@
 //! * [`tcp`] — [`TcpTransport`]/[`TcpMailbox`]: length-prefixed frames,
 //!   thread-per-connection, reconnect with backoff, bounded drop-oldest
 //!   outbound queues;
-//! * [`cluster`] — [`TcpCluster`]: an in-process loopback harness (every
-//!   replica a thread, every connection a real socket) for tests and
-//!   benchmarks;
+//! * [`cluster`] — [`TcpCluster`]: the in-process cluster of
+//!   `peats-replication` over loopback sockets (every replica a thread,
+//!   every connection a real socket) for tests and benchmarks;
 //! * [`text`] — the human-readable tuple/template syntax shared by the
 //!   `peats` CLI and the daemon's configuration;
 //! * the binaries: `peatsd` (one replica of the policy-enforced tuple
@@ -28,7 +28,7 @@ pub mod config;
 pub mod tcp;
 pub mod text;
 
-pub use cluster::{TcpCluster, TcpClusterConfig};
+pub use cluster::{Sockets, TcpCluster, TcpClusterConfig};
 pub use tcp::{TcpMailbox, TcpTransport};
 
 /// Tuning knobs for a [`TcpTransport`] endpoint.

@@ -233,11 +233,12 @@ fn quick_cluster_cfg() -> TcpClusterConfig {
 
 #[test]
 fn tcp_cluster_serves_the_full_op_surface() {
-    let mut cluster = TcpCluster::start(
+    let mut cluster = TcpCluster::start_with(
         Policy::allow_all(),
         PolicyParams::new(),
         1,
         &[100, 101],
+        &[],
         quick_cluster_cfg(),
     )
     .unwrap();
@@ -261,11 +262,12 @@ fn tcp_cluster_serves_the_full_op_surface() {
 
 #[test]
 fn killed_replica_recovers_via_state_transfer_over_sockets() {
-    let mut cluster = TcpCluster::start(
+    let mut cluster = TcpCluster::start_with(
         Policy::allow_all(),
         PolicyParams::new(),
         1,
         &[100],
+        &[],
         quick_cluster_cfg(),
     )
     .unwrap();
@@ -314,8 +316,15 @@ fn injected_send_delay_still_serves_and_slows_the_path() {
         invoke_timeout: Duration::from_secs(30),
         ..ClientConfig::default()
     };
-    let mut cluster =
-        TcpCluster::start(Policy::allow_all(), PolicyParams::new(), 1, &[100], cfg).unwrap();
+    let mut cluster = TcpCluster::start_with(
+        Policy::allow_all(),
+        PolicyParams::new(),
+        1,
+        &[100],
+        &[],
+        cfg,
+    )
+    .unwrap();
     let h = cluster.handle(0);
     h.out(tuple!["SLOWNET", 1]).unwrap();
     assert_eq!(

@@ -23,12 +23,26 @@
 //!   individually; if all `n` answer and no fresh quorum forms (replicas
 //!   caught mid-write disagree), the session reports [`ReadPoll::NoQuorum`]
 //!   and the caller falls back to the ordered path.
+//!
+//! On top of the sessions sits [`Invocation`], the client's whole
+//! invocation policy as one sans-io state machine: which replicas to ask,
+//! when to retransmit, the overall deadline, the fast read's `f+1` probe
+//! and widening, and a timed-out blocked op's cancel-then-settle. It holds
+//! no socket and no clock — a caller feeds it [`Reply`]s (decoded by
+//! [`Reply::open`]) and the current time, and ships its outbox. The
+//! wall-clock loop runs in [`ReplicatedPeats`](crate::ReplicatedPeats);
+//! the step loop in [`SimCluster`](crate::SimCluster).
 
-use crate::messages::{Message, OpResult, ReplicaId, Request, RequestOp, Seq, WaitKind};
-use peats_auth::Digest;
+use crate::messages::{Message, OpResult, ReplicaId, Request, RequestOp, Sealed, Seq, WaitKind};
+use peats::{SpaceError, SpaceResult};
+use peats_auth::{Digest, KeyTable};
+use peats_codec::Decode;
 use peats_policy::OpCall;
-use peats_tuplespace::Template;
-use std::collections::BTreeMap;
+use peats_tuplespace::{Template, Tuple};
+use std::collections::{BTreeMap, VecDeque};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
+use std::time::Duration;
 
 /// One in-flight ordered request from one client.
 #[derive(Debug)]
@@ -421,6 +435,642 @@ impl ReadSession {
     /// The accepted `(seq, result)`, if already decided.
     pub fn decided(&self) -> Option<&(Seq, OpResult)> {
         self.decided.as_ref()
+    }
+}
+
+/// Client-side timing knobs, shared by every invocation of one client.
+#[derive(Clone, Debug)]
+pub struct ClientConfig {
+    /// Re-broadcast an undecided request after this long without a
+    /// decision. Each retry resets the timer from *now*, so a stall never
+    /// banks a burst of back-to-back rebroadcasts.
+    pub retry_interval: Duration,
+    /// Give up on an invocation (`SpaceError::Unavailable`) after this
+    /// long. Also the end-to-end deadline of a blocked `rd`/`take`: past
+    /// it the registration is cancelled with an ordered `Cancel` and the
+    /// invoke reports `Unavailable` (unless the cancel lost the race to a
+    /// committed match, in which case the tuple is returned).
+    pub invoke_timeout: Duration,
+    /// Request ids start above this value. Replicas dedup requests by
+    /// `(pid, req_id)` and re-reply the cached result on a repeat, so a
+    /// *short-lived* client process re-using a long-lived pid (the `peats`
+    /// CLI) must seed this with something fresh — e.g. a wall-clock
+    /// timestamp — or its first requests replay earlier invocations'
+    /// replies. Long-lived handles keep the 0 default.
+    pub first_request_id: u64,
+    /// Serve `rd`/`rdp`/`count` over the one-round quorum fast path
+    /// (default). Disable to force every read through the ordering
+    /// pipeline — the baseline the `read_fast_path` benchmark compares
+    /// against.
+    pub fast_reads: bool,
+    /// Give up on a fast-read round (and fall back to the ordered path)
+    /// after this long without `f+1` fresh matching replies.
+    pub read_timeout: Duration,
+    /// How long the optimistic probe phase of a fast read waits before
+    /// widening to every replica. A fast read first asks only a preferred
+    /// `f+1` quorum — the cheapest read that can still decide — and widens
+    /// (rotating the preference past the unhelpful replica) if that window
+    /// stays silent this long or answers without deciding.
+    pub read_probe_timeout: Duration,
+}
+
+impl Default for ClientConfig {
+    fn default() -> Self {
+        ClientConfig {
+            retry_interval: Duration::from_millis(500),
+            invoke_timeout: Duration::from_secs(10),
+            first_request_id: 0,
+            fast_reads: true,
+            read_timeout: Duration::from_millis(500),
+            read_probe_timeout: Duration::from_millis(25),
+        }
+    }
+}
+
+/// A replica's answer to a client, as an [`Invocation`] votes on it: an
+/// ordered `Reply` or a pushed `Wake` — both the `(seq, result)` a replica
+/// recorded for the request — or a fast-path `ReadReply`, which also
+/// carries the digest of its result.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Reply {
+    /// Answering replica.
+    pub replica: ReplicaId,
+    /// Request answered.
+    pub req_id: u64,
+    /// Slot the result was recorded at (a fast read: the replica's
+    /// execution point).
+    pub seq: Seq,
+    /// The result.
+    pub result: OpResult,
+    /// A fast read's digest of `result`; `None` on the ordered path.
+    pub digest: Option<Digest>,
+}
+
+impl Reply {
+    /// Decodes one sealed frame addressed to a client: `None` for garbage,
+    /// a bad MAC, or a message that is not a reply.
+    pub fn open(keys: &KeyTable, payload: &[u8]) -> Option<Reply> {
+        let (replica, req_id, seq, result, digest) =
+            match Sealed::from_bytes(payload).ok()?.open(keys)?.1 {
+                Message::Reply {
+                    req_id,
+                    seq,
+                    replica,
+                    result,
+                    ..
+                }
+                | Message::Wake {
+                    req_id,
+                    seq,
+                    result,
+                    replica,
+                } => (replica, req_id, seq, result, None),
+                Message::ReadReply {
+                    req_id,
+                    seq,
+                    digest,
+                    result,
+                    replica,
+                } => (replica, req_id, seq, result, Some(digest)),
+                _ => return None,
+            };
+        Some(Reply {
+            replica,
+            req_id,
+            seq,
+            result,
+            digest,
+        })
+    }
+}
+
+/// State shared by every invocation of one logical client — and by every
+/// clone of its handle: identity, request numbering, the read watermark,
+/// the fast read's preferred probe window, and observability counters.
+#[derive(Debug)]
+pub struct ClientState {
+    pub(crate) pid: u64,
+    pub(crate) f: usize,
+    pub(crate) n: usize,
+    cfg: ClientConfig,
+    next_req: AtomicU64,
+    /// Read watermark: the highest *quorum-backed* seq this client has
+    /// observed. Fast reads demand a quorum at or above it, which is
+    /// exactly read-your-writes; only quorum-backed seqs advance it, so a
+    /// Byzantine replica claiming `seq = u64::MAX` cannot wedge the client
+    /// into permanent ordered fallback.
+    watermark: AtomicU64,
+    /// Start of the preferred `f+1` probe window for fast reads. Rotated
+    /// whenever a probe fails to decide, so a crashed, slow, or Byzantine
+    /// replica only taxes the reads that first discover it.
+    probe_offset: AtomicU64,
+    rebroadcasts: AtomicU64,
+    in_flight: AtomicU64,
+    max_in_flight: AtomicU64,
+    fast_reads: AtomicU64,
+    fast_read_fallbacks: AtomicU64,
+}
+
+impl ClientState {
+    /// State for logical process `pid` against `n = 3f+1` replicas.
+    pub fn new(pid: u64, f: usize, n: usize, cfg: ClientConfig) -> Self {
+        ClientState {
+            pid,
+            f,
+            n,
+            next_req: AtomicU64::new(cfg.first_request_id),
+            cfg,
+            watermark: AtomicU64::default(),
+            probe_offset: AtomicU64::default(),
+            rebroadcasts: AtomicU64::default(),
+            in_flight: AtomicU64::default(),
+            max_in_flight: AtomicU64::default(),
+            fast_reads: AtomicU64::default(),
+            fast_read_fallbacks: AtomicU64::default(),
+        }
+    }
+
+    fn next_req_id(&self) -> u64 {
+        self.next_req.fetch_add(1, Ordering::Relaxed) + 1
+    }
+
+    fn observe(&self, seq: Seq) {
+        self.watermark.fetch_max(seq, Ordering::Relaxed);
+    }
+
+    /// Total requests issued (each ordered one is a consensus round).
+    pub fn issued_requests(&self) -> u64 {
+        self.next_req.load(Ordering::Relaxed) - self.cfg.first_request_id
+    }
+
+    /// Total retry re-broadcasts. A healthy cluster decides well inside
+    /// the retry interval, so this staying at zero is how tests prove no
+    /// reply was lost or eaten.
+    pub fn rebroadcasts(&self) -> u64 {
+        self.rebroadcasts.load(Ordering::Relaxed)
+    }
+
+    /// High-water mark of concurrently live invocations (tests assert that
+    /// clones of one handle genuinely overlap).
+    pub fn max_concurrent_invokes(&self) -> u64 {
+        self.max_in_flight.load(Ordering::Relaxed)
+    }
+
+    /// Reads served by the one-round fast path (no ordering round).
+    pub fn fast_reads_served(&self) -> u64 {
+        self.fast_reads.load(Ordering::Relaxed)
+    }
+
+    /// Fast-read rounds that fell back to the ordered path (timeout or
+    /// replica disagreement). A healthy quiescent cluster keeps this at 0.
+    pub fn fast_read_fallbacks(&self) -> u64 {
+        self.fast_read_fallbacks.load(Ordering::Relaxed)
+    }
+
+    /// The current read watermark (highest quorum-backed seq observed).
+    pub fn read_watermark(&self) -> Seq {
+        self.watermark.load(Ordering::Relaxed)
+    }
+
+    /// The replicas the next fast read probes first.
+    pub fn probe_window(&self) -> Vec<ReplicaId> {
+        let start = self.probe_offset.load(Ordering::Relaxed) as usize;
+        (0..(self.f + 1).min(self.n))
+            .map(|i| ((start + i) % self.n) as ReplicaId)
+            .collect()
+    }
+}
+
+/// What an [`Invocation`] asks of the replicas.
+#[derive(Clone, Debug)]
+pub enum Op {
+    /// Through the ordering pipeline: a call, a `Register`, or a `Cancel`.
+    Ordered(RequestOp),
+    /// A read-only call (`rd`/`rdp`/`count`): the `f+1` fast path when
+    /// [`ClientConfig::fast_reads`] is on, falling back to the ordered
+    /// path on timeout or disagreement.
+    Read(OpCall<'static>),
+    /// One fast-read round at an explicit watermark and without the
+    /// ordered fallback: decides `(seq, result)` or fails.
+    FastRead {
+        /// The read-only call.
+        op: OpCall<'static>,
+        /// The watermark the quorum must answer at or above.
+        watermark: Seq,
+    },
+    /// A blocking `rd`/`take`: one ordered `Register`, then the pushed
+    /// wake. Past the deadline the registration is cancelled in the total
+    /// order, and the cancel's certified result settles the race with a
+    /// concurrent match: the op decides the woken `Tuple(Some(_))`, or
+    /// `Tuple(None)` when the cancel won.
+    Blocking {
+        /// What to wait for.
+        template: Template,
+        /// Copy or consume the match.
+        kind: WaitKind,
+    },
+    /// A persistent registration (pub/sub): decides `Registered` once
+    /// `f+1` replicas parked it, then streams events (see
+    /// [`Invocation::await_event`]).
+    Subscribe(Template),
+}
+
+#[derive(Debug)]
+enum Phase {
+    Ordered(ClientSession),
+    Read {
+        session: ReadSession,
+        op: OpCall<'static>,
+        msg: Message,
+        /// Start of the `f+1` probe window this read asked first.
+        window: usize,
+        widened: bool,
+        fallback: bool,
+    },
+    /// Awaiting the park acknowledgement, then the wake.
+    Blocked(BlockingSession),
+    /// Past the deadline: the ordered `Cancel` is in flight.
+    Cancelling(BlockingSession, ClientSession),
+    /// The cancel removed nothing, so the wait's outcome sits in the
+    /// `Register`'s cached replies: retransmit it and decide on them.
+    Settling(BlockingSession),
+    Subscribing(BlockingSession),
+    /// A live subscription: certified events queue until awaited.
+    Streaming,
+}
+
+/// One client invocation as a sans-io state machine. The caller runs
+/// [`step`](Invocation::step) with the current time and each reply (or
+/// `None` once [`next_timer`](Invocation::next_timer) is due), sends what
+/// [`drain_outbox`](Invocation::drain_outbox) yields, and stops when
+/// [`take_outcome`](Invocation::take_outcome) returns the decision. Time
+/// is any monotonic clock, as a [`Duration`] since its epoch.
+#[derive(Debug)]
+pub struct Invocation {
+    client: Arc<ClientState>,
+    req_id: u64,
+    phase: Phase,
+    /// When the phase gives up (a read falls back, a blocked op cancels).
+    deadline: Duration,
+    /// When the phase next retransmits (a read: widens its probe).
+    retry_at: Duration,
+    stream: Option<WakeStreamSession>,
+    events: VecDeque<Tuple>,
+    outbox: Vec<(ReplicaId, Message)>,
+    outcome: Option<SpaceResult<(Seq, OpResult)>>,
+}
+
+impl Invocation {
+    /// Starts `op` for `client` at time `now`; the first broadcast waits in
+    /// the outbox.
+    pub fn new(client: Arc<ClientState>, op: Op, now: Duration) -> Self {
+        let (pid, f, cfg) = (client.pid, client.f, &client.cfg);
+        let req_id = client.next_req_id();
+        let depth = client.in_flight.fetch_add(1, Ordering::Relaxed) + 1;
+        client.max_in_flight.fetch_max(depth, Ordering::Relaxed);
+        let read = |op: OpCall<'static>, watermark, fallback| Phase::Read {
+            session: ReadSession::new(req_id, watermark, f, client.n),
+            msg: Message::ReadRequest {
+                client: pid,
+                req_id,
+                op: op.clone(),
+                watermark,
+            },
+            op,
+            window: client.probe_offset.load(Ordering::Relaxed) as usize % client.n,
+            widened: f + 1 >= client.n,
+            fallback,
+        };
+        let mut stream = None;
+        let phase = match op {
+            Op::Read(op) if cfg.fast_reads => read(op, client.read_watermark(), true),
+            Op::FastRead { op, watermark } => read(op, watermark, false),
+            Op::Read(op) => Phase::Ordered(ClientSession::new(pid, req_id, op, f)),
+            Op::Ordered(op) => Phase::Ordered(ClientSession::new_op(pid, req_id, op, f)),
+            Op::Blocking { template, kind } => {
+                Phase::Blocked(BlockingSession::new(pid, req_id, template, kind, false, f))
+            }
+            Op::Subscribe(template) => {
+                stream = Some(WakeStreamSession::new(req_id, f, client.n));
+                let park = BlockingSession::new(pid, req_id, template, WaitKind::Rd, true, f);
+                Phase::Subscribing(park)
+            }
+        };
+        let (retry, timeout) = match phase {
+            Phase::Read { .. } => (
+                cfg.read_probe_timeout.min(cfg.read_timeout),
+                cfg.read_timeout,
+            ),
+            _ => (cfg.retry_interval, cfg.invoke_timeout),
+        };
+        let mut inv = Invocation {
+            client,
+            req_id,
+            phase,
+            deadline: now + timeout,
+            retry_at: now + retry,
+            stream,
+            events: VecDeque::new(),
+            outbox: Vec::new(),
+            outcome: None,
+        };
+        inv.retransmit();
+        inv
+    }
+
+    /// The invocation's first request id (a subscription's registration).
+    pub fn req_id(&self) -> u64 {
+        self.req_id
+    }
+
+    /// The slot `f+1` replicas confirmed a blocked op parked at, while it
+    /// waits for its wake.
+    pub fn parked_at(&self) -> Option<Seq> {
+        match &self.phase {
+            Phase::Blocked(session) => session.parked_at(),
+            _ => None,
+        }
+    }
+
+    /// `true` once a decision waits in [`take_outcome`](Self::take_outcome).
+    pub fn is_decided(&self) -> bool {
+        self.outcome.is_some()
+    }
+
+    /// Moves the deadline to `now`: the caller gives up waiting.
+    pub fn give_up(&mut self, now: Duration) {
+        self.deadline = now;
+        self.step(now, None);
+    }
+
+    /// Arms a live subscription to decide its next event — `Tuple(Some)`
+    /// — or `Tuple(None)` if none is certified before `now + timeout`.
+    pub fn await_event(&mut self, now: Duration, timeout: Duration) {
+        self.deadline = now + timeout;
+        self.step(now, None);
+    }
+
+    /// The messages to send, each to one replica.
+    pub fn drain_outbox(&mut self) -> std::vec::Drain<'_, (ReplicaId, Message)> {
+        self.outbox.drain(..)
+    }
+
+    /// The decision, once reached: the accepted `(seq, result)`, or
+    /// `Unavailable` when the deadline passed first.
+    pub fn take_outcome(&mut self) -> Option<SpaceResult<(Seq, OpResult)>> {
+        self.outcome.take()
+    }
+
+    /// When [`step`](Self::step) must next run even if no reply arrives.
+    pub fn next_timer(&self) -> Duration {
+        if self.timer_armed() {
+            self.retry_at.min(self.deadline)
+        } else {
+            self.deadline
+        }
+    }
+
+    /// Only the un-acknowledged phase of a blocked op retransmits: once
+    /// `f+1` replicas confirmed the park, the next message it is owed is a
+    /// pushed wake, not a reply. A read's timer widens its probe, once.
+    fn timer_armed(&self) -> bool {
+        match &self.phase {
+            Phase::Read { widened, .. } => !widened,
+            Phase::Blocked(session) => session.parked_at().is_none(),
+            Phase::Streaming => false,
+            _ => true,
+        }
+    }
+
+    /// Feeds one reply (if any), then runs whatever timers are due at
+    /// `now`: retransmission, the probe's widening, the deadline.
+    pub fn step(&mut self, now: Duration, reply: Option<Reply>) {
+        if let Some(reply) = reply.filter(|_| self.outcome.is_none()) {
+            self.on_reply(now, reply);
+        }
+        if self.outcome.is_none() && matches!(self.phase, Phase::Streaming) {
+            if let Some(t) = self.events.pop_front() {
+                self.outcome = Some(Ok((0, OpResult::Tuple(Some(t)))));
+            }
+        }
+        if self.outcome.is_none() && now >= self.deadline {
+            self.expire(now);
+        } else if self.outcome.is_none() && now >= self.retry_at && self.timer_armed() {
+            // Reset from *now*, not the missed tick: after a long stall
+            // every banked tick would fire back-to-back.
+            self.retry_at = now + self.client.cfg.retry_interval;
+            if matches!(self.phase, Phase::Read { .. }) {
+                return self.widen();
+            }
+            self.client.rebroadcasts.fetch_add(1, Ordering::Relaxed);
+            self.retransmit();
+        }
+    }
+
+    fn decide(&mut self, seq: Seq, result: OpResult) {
+        self.client.observe(seq);
+        self.outcome = Some(Ok((seq, result)));
+    }
+
+    fn on_reply(&mut self, now: Duration, reply: Reply) {
+        let Reply {
+            replica,
+            req_id,
+            seq,
+            result,
+            digest,
+        } = reply;
+        if let Some(digest) = digest {
+            let Phase::Read {
+                session, fallback, ..
+            } = &mut self.phase
+            else {
+                return;
+            };
+            match session.on_read_reply(replica, req_id, seq, digest, result) {
+                ReadPoll::Accepted { seq, result } => {
+                    if *fallback {
+                        self.client.fast_reads.fetch_add(1, Ordering::Relaxed);
+                    }
+                    self.decide(seq, result);
+                }
+                ReadPoll::NoQuorum => self.fall_back(now),
+                // The probe window answered without deciding: widen.
+                ReadPoll::Pending if session.responders() > self.client.f => self.widen(),
+                ReadPoll::Pending => {}
+            }
+            return;
+        }
+        if let Some(stream) = &mut self.stream {
+            // Wakes racing the subscribe handshake are certified here and
+            // queued, so the subscriber sees them; `Registered` acks feed
+            // the park vote below. Each session ignores what the other
+            // consumes.
+            if let Some((seq, event)) = stream.on_wake(replica, req_id, seq, result.clone()) {
+                self.client.observe(seq);
+                match event {
+                    OpResult::Tuple(Some(t)) => self.events.push_back(t),
+                    OpResult::Denied(d) => return self.decide(seq, OpResult::Denied(d)),
+                    _ => {}
+                }
+            }
+        }
+        match &mut self.phase {
+            Phase::Ordered(session) => {
+                if let Some((seq, result)) = session.on_reply(replica, req_id, seq, result) {
+                    self.decide(seq, result);
+                }
+            }
+            Phase::Cancelling(_, cancel) if req_id != self.req_id => {
+                match cancel.on_reply(replica, req_id, seq, result) {
+                    // The cancel removed the live registration: it won,
+                    // and no tuple was ever awarded to this wait.
+                    Some((seq, OpResult::Count(n))) if n > 0 => {
+                        self.decide(seq, OpResult::Tuple(None))
+                    }
+                    Some((seq, _)) => {
+                        self.client.observe(seq);
+                        let Phase::Cancelling(blocked, _) =
+                            std::mem::replace(&mut self.phase, Phase::Streaming)
+                        else {
+                            unreachable!("matched above")
+                        };
+                        self.restart(now, Phase::Settling(blocked));
+                    }
+                    None => {}
+                }
+            }
+            Phase::Blocked(blocked) | Phase::Cancelling(blocked, _) | Phase::Settling(blocked) => {
+                match blocked.on_reply(replica, req_id, seq, result) {
+                    BlockingPoll::Decided(seq, result) => self.decide(seq, result),
+                    // The registration itself committed at `seq`;
+                    // read-your-writes covers it like any write.
+                    BlockingPoll::Parked(seq) => self.client.observe(seq),
+                    BlockingPoll::Pending => {}
+                }
+            }
+            Phase::Subscribing(park) => match park.on_reply(replica, req_id, seq, result) {
+                BlockingPoll::Decided(seq, OpResult::Denied(d)) => {
+                    self.decide(seq, OpResult::Denied(d))
+                }
+                // Parked is the normal ack; a decided (non-denied) quorum
+                // means wakes outran the `Registered` acks — the
+                // registration is committed and live either way.
+                BlockingPoll::Parked(seq) | BlockingPoll::Decided(seq, _) => {
+                    self.phase = Phase::Streaming;
+                    self.decide(seq, OpResult::Registered);
+                }
+                BlockingPoll::Pending => {}
+            },
+            Phase::Read { .. } | Phase::Streaming => {}
+        }
+    }
+
+    /// The deadline passed.
+    fn expire(&mut self, now: Duration) {
+        let why = match std::mem::replace(&mut self.phase, Phase::Streaming) {
+            phase @ Phase::Read { .. } => {
+                self.phase = phase;
+                return self.fall_back(now);
+            }
+            Phase::Blocked(blocked) => {
+                // Detach the registration in the total order; the cancel's
+                // certified result settles the race with a match.
+                let target = self.req_id;
+                let cancel = ClientSession::new_op(
+                    self.client.pid,
+                    self.client.next_req_id(),
+                    RequestOp::Cancel { target },
+                    self.client.f,
+                );
+                return self.restart(now, Phase::Cancelling(blocked, cancel));
+            }
+            Phase::Streaming => {
+                self.outcome = Some(Ok((0, OpResult::Tuple(None))));
+                return;
+            }
+            Phase::Subscribing(_) => "no f+1 registration acks before timeout",
+            _ => "no f+1 matching replies before timeout",
+        };
+        self.fail(why);
+    }
+
+    fn fail(&mut self, why: &str) {
+        self.outcome = Some(Err(SpaceError::Unavailable(why.into())));
+    }
+
+    /// A fast read that timed out or met disagreement: re-issue it on the
+    /// ordered path (or fail, for a round without fallback).
+    fn fall_back(&mut self, now: Duration) {
+        let Phase::Read { op, fallback, .. } = &self.phase else {
+            return;
+        };
+        if !fallback {
+            return self.fail("no fresh f+1 fast-read quorum");
+        }
+        let (pid, f) = (self.client.pid, self.client.f);
+        let session = ClientSession::new(pid, self.client.next_req_id(), op.clone(), f);
+        self.client
+            .fast_read_fallbacks
+            .fetch_add(1, Ordering::Relaxed);
+        self.restart(now, Phase::Ordered(session));
+    }
+
+    /// Enters `phase` with fresh timers and broadcasts its request.
+    fn restart(&mut self, now: Duration, phase: Phase) {
+        self.phase = phase;
+        self.deadline = now + self.client.cfg.invoke_timeout;
+        self.retry_at = now + self.client.cfg.retry_interval;
+        self.retransmit();
+    }
+
+    /// Widens a fast read's probe to the remaining replicas and rotates
+    /// the preferred window past this one.
+    fn widen(&mut self) {
+        let Phase::Read {
+            msg,
+            window,
+            widened: widened @ false,
+            ..
+        } = &mut self.phase
+        else {
+            return;
+        };
+        *widened = true;
+        let (window, msg) = (*window, msg.clone());
+        self.client.probe_offset.fetch_add(1, Ordering::Relaxed);
+        self.send(window, self.client.f + 1..self.client.n, &msg);
+    }
+
+    /// Broadcasts the phase's request; a fast read asks its `f+1` probe
+    /// window first — the cheapest quorum that can still decide.
+    fn retransmit(&mut self) {
+        let msg = match &self.phase {
+            Phase::Ordered(session) | Phase::Cancelling(_, session) => session.request_message(),
+            Phase::Blocked(session) | Phase::Settling(session) | Phase::Subscribing(session) => {
+                session.request_message()
+            }
+            Phase::Read { msg, window, .. } => {
+                let (window, msg) = (*window, msg.clone());
+                return self.send(window, 0..(self.client.f + 1).min(self.client.n), &msg);
+            }
+            Phase::Streaming => return,
+        };
+        self.send(0, 0..self.client.n, &msg);
+    }
+
+    fn send(&mut self, window: usize, range: std::ops::Range<usize>, msg: &Message) {
+        let n = self.client.n;
+        for i in range {
+            self.outbox
+                .push((((window + i) % n) as ReplicaId, msg.clone()));
+        }
+    }
+}
+
+impl Drop for Invocation {
+    fn drop(&mut self) {
+        self.client.in_flight.fetch_sub(1, Ordering::Relaxed);
     }
 }
 

@@ -9,20 +9,25 @@
 //!   (authenticated channels);
 //! * [`replica`] — a sans-io PBFT-style replica state machine
 //!   (pre-prepare / prepare / commit, simplified view change);
-//! * [`client`] — client-side `f+1` reply voting;
+//! * [`client`] — client-side `f+1` reply voting, and the whole client
+//!   invocation policy as one sans-io state machine ([`Invocation`]);
 //! * [`faults`] — injectable replica fault modes;
+//! * [`runtime`] — the transport-generic wall-clock loops, written
+//!   against `peats-netsim`'s [`Transport`](peats_netsim::Transport)
+//!   trait so the same code runs over in-memory channels and over real
+//!   TCP sockets (`peats-net`): the replica event loop
+//!   ([`replica_main`], around the shared [`ReplicaHost`]) and the
+//!   concurrent client handle ([`ReplicatedPeats`]);
 //! * [`sim_harness`] — a deterministic simulated deployment
-//!   ([`SimCluster`]) for fault experiments;
-//! * [`runtime`] — the transport-generic deployment runtime: the replica
-//!   event loop ([`replica_main`]) and the concurrent client handle
-//!   ([`ReplicatedPeats`]), written against `peats-netsim`'s
-//!   [`Transport`](peats_netsim::Transport) trait so the same code runs
-//!   over in-memory channels and over real TCP sockets (`peats-net`);
-//! * [`threaded`] — the in-process deployment ([`ThreadedCluster`]):
-//!   `runtime` instantiated with [`ThreadNet`](peats_netsim::ThreadNet).
-//!   The client handle implements [`peats::TupleSpace`], so every
-//!   consensus object and universal construction runs on the real
-//!   replicated service unchanged.
+//!   ([`SimCluster`]) for fault experiments, stepping the same
+//!   [`ReplicaHost`] and [`Invocation`] on simulated time;
+//! * [`threaded`] — the in-process deployment ([`Cluster`]) over any
+//!   [`Fabric`]: [`ThreadedCluster`] over in-memory channels, and
+//!   `peats-net`'s `TcpCluster` over loopback sockets. The client handle
+//!   implements [`peats::TupleSpace`], so every consensus object and
+//!   universal construction runs on the real replicated service
+//!   unchanged;
+//! * [`wal`] — the write-ahead log and durable snapshots.
 //!
 //! Safety requires `n = 3f+1` replicas; this is the *replica* fault bound
 //! `f`, independent of the *process* fault bound `t` of the algorithms
@@ -43,7 +48,8 @@ pub mod threaded;
 pub mod wal;
 
 pub use client::{
-    BlockingPoll, BlockingSession, ClientSession, ReadPoll, ReadSession, WakeStreamSession,
+    BlockingPoll, BlockingSession, ClientConfig, ClientSession, ClientState, Invocation, Op,
+    ReadPoll, ReadSession, Reply, WakeStreamSession,
 };
 pub use faults::FaultMode;
 pub use messages::{
@@ -51,10 +57,10 @@ pub use messages::{
     Sealed, Seq, View, WaitKind,
 };
 pub use replica::{Dest, Replica, ReplicaConfig, ReplicaFootprint};
-pub use runtime::{replica_main, ship, ClientConfig, ReplicatedPeats, Subscription};
+pub use runtime::{replica_main, ReplicaHost, ReplicatedPeats, Subscription};
 pub use service::PeatsService;
 pub use sim_harness::{FastRead, SimCluster};
-pub use threaded::{ClusterConfig, ThreadedCluster};
+pub use threaded::{Cluster, ClusterConfig, Fabric, ThreadedCluster, Threads};
 pub use wal::{
     DiskMetrics, DurableConfig, DurableSnapshot, DurableStore, Recovery, RecoveryReport, WalRecord,
 };

@@ -418,18 +418,7 @@ impl Replica {
                 if self.executed_already(&req) {
                     continue;
                 }
-                let result = match &req.op {
-                    RequestOp::Call(op) => self.service.execute(req.client, op),
-                    RequestOp::Register {
-                        template,
-                        kind,
-                        persistent,
-                    } => {
-                        self.service
-                            .register(req.client, req.req_id, template, *kind, *persistent)
-                    }
-                    RequestOp::Cancel { target } => self.service.cancel(req.client, *target),
-                };
+                let result = self.execute_request(&req, seq);
                 self.record_reply(req.client, req.req_id, seq, result);
                 for wake in self.service.take_wakes() {
                     self.record_reply(wake.client, wake.req_id, seq, wake.result);
@@ -612,6 +601,36 @@ impl Replica {
         self.replies
             .get(&req.client)
             .is_some_and(|per| per.contains_key(&req.req_id))
+    }
+
+    /// Executes one ordered request at slot `seq` against the service.
+    ///
+    /// A `Cancel` whose target has no reply here was ordered ahead of its
+    /// own `Register`: it closes the target's reply slot with
+    /// `Tuple(None)` ("no tuple: the wait was cancelled"), so a late
+    /// `Register` is re-replied that instead of parking a registration
+    /// nobody waits for.
+    fn execute_request(&mut self, req: &Request, seq: Seq) -> OpResult {
+        match &req.op {
+            RequestOp::Call(op) => self.service.execute(req.client, op),
+            RequestOp::Register {
+                template,
+                kind,
+                persistent,
+            } => self
+                .service
+                .register(req.client, req.req_id, template, *kind, *persistent),
+            RequestOp::Cancel { target } => {
+                let seen = self
+                    .replies
+                    .get(&req.client)
+                    .is_some_and(|per| per.contains_key(target));
+                if !seen {
+                    self.record_reply(req.client, *target, seq, OpResult::Tuple(None));
+                }
+                self.service.cancel(req.client, *target)
+            }
+        }
     }
 
     /// Records an executed result and the slot it executed at, pruning each
@@ -976,18 +995,7 @@ impl Replica {
                 if self.executed_already(&req) {
                     continue;
                 }
-                let result = match &req.op {
-                    RequestOp::Call(op) => self.service.execute(req.client, op),
-                    RequestOp::Register {
-                        template,
-                        kind,
-                        persistent,
-                    } => {
-                        self.service
-                            .register(req.client, req.req_id, template, *kind, *persistent)
-                    }
-                    RequestOp::Cancel { target } => self.service.cancel(req.client, *target),
-                };
+                let result = self.execute_request(&req, next);
                 self.record_reply(req.client, req.req_id, next, result.clone());
                 self.pending.retain(|r| *r != req);
                 if let Some(node) = self.client_node_of(req.client) {
@@ -2313,6 +2321,66 @@ mod tests {
             ),
             OpResult::Tuple(Some(tuple!["T", 3i64]))
         );
+    }
+
+    fn ordered_replies(out: &[(Dest, Message)]) -> Vec<(u64, Seq, OpResult)> {
+        out.iter()
+            .filter_map(|(_, m)| match m {
+                Message::Reply {
+                    req_id,
+                    seq,
+                    result,
+                    ..
+                } => Some((*req_id, *seq, result.clone())),
+                _ => None,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn cancel_reports_whether_it_removed_a_live_registration() {
+        let mut p = mk_primary(8, 1);
+        p.on_message(CLIENT_NODE, Message::Request(register_req(1)));
+        commit_slot(&mut p, 1, &[register_req(1)]);
+        let cancel = |req_id| Request {
+            client: CLIENT_PID,
+            req_id,
+            op: RequestOp::Cancel { target: 1 },
+        };
+        p.on_message(CLIENT_NODE, Message::Request(cancel(2)));
+        let out = commit_slot(&mut p, 2, &[cancel(2)]);
+        assert_eq!(ordered_replies(&out), vec![(2, 2, OpResult::Count(1))]);
+        // A second cancel finds nothing live and leaves the target's
+        // cached `Registered` alone.
+        p.on_message(CLIENT_NODE, Message::Request(cancel(3)));
+        let out = commit_slot(&mut p, 3, &[cancel(3)]);
+        assert_eq!(ordered_replies(&out), vec![(3, 3, OpResult::Count(0))]);
+        let out = p.on_message(CLIENT_NODE, Message::Request(register_req(1)));
+        assert_eq!(ordered_replies(&out), vec![(1, 1, OpResult::Registered)]);
+    }
+
+    #[test]
+    fn cancel_ordered_before_its_register_closes_the_wait() {
+        // The Register was lost on its way to the primary, so the client's
+        // Cancel is ordered first. It removes nothing, and the late
+        // Register must not park a waiter nobody will ever collect: it is
+        // answered "no tuple" at the Cancel's slot instead.
+        let mut p = mk_primary(8, 1);
+        let cancel = Request {
+            client: CLIENT_PID,
+            req_id: 2,
+            op: RequestOp::Cancel { target: 1 },
+        };
+        p.on_message(CLIENT_NODE, Message::Request(cancel.clone()));
+        let out = commit_slot(&mut p, 1, &[cancel]);
+        assert_eq!(ordered_replies(&out), vec![(2, 1, OpResult::Count(0))]);
+        let out = p.on_message(CLIENT_NODE, Message::Request(register_req(1)));
+        assert!(
+            pre_prepares(&out).is_empty(),
+            "the late Register is not ordered"
+        );
+        assert_eq!(ordered_replies(&out), vec![(1, 1, OpResult::Tuple(None))]);
+        assert_eq!(p.footprint().registrations, 0);
     }
 
     #[test]

@@ -5,107 +5,94 @@
 //! ([`ThreadNet`](peats_netsim::ThreadNet), the fast verification tier) and
 //! real TCP sockets (`peats-net`, the `peatsd` deployment tier).
 //!
+//! Both halves are thin loops around sans-io state machines. The
+//! replica loop feeds [`Replica`] through [`ReplicaHost`] — the same
+//! frame-opening, progress-check and seal-and-ship code the simulator's
+//! replica actor runs. The client handle drives each
+//! [`Invocation`] with one wall-clock loop:
+//! send the outbox, then block on the invocation's reply channel until
+//! the earlier of a reply or its next timer, so reply latency is set by
+//! the cluster, not by a poll tick.
+//!
 //! Cloned [`ReplicatedPeats`] handles invoke **concurrently**: a dedicated
 //! router thread owns the client node's mailbox and demultiplexes each
-//! `Reply` to the in-flight invocation it answers by `req_id`, so no
+//! reply to the in-flight invocation it answers by `req_id`, so no
 //! invocation ever holds the mailbox (or eats another invocation's
-//! replies) while it waits. Waiting is event-driven — the invocation
-//! blocks on its own reply channel until the earlier of its retry or
-//! overall deadline, so reply latency is set by the cluster, not by a poll
-//! tick.
+//! replies) while it waits.
 
-use crate::client::{
-    BlockingPoll, BlockingSession, ClientSession, ReadPoll, ReadSession, WakeStreamSession,
-};
-use crate::messages::{Message, OpResult, ReplicaId, RequestOp, Sealed, Seq, WaitKind};
+use crate::client::{ClientConfig, ClientState, Invocation, Op, Reply};
+use crate::messages::{Message, OpResult, ReplicaId, Request, RequestOp, Sealed, Seq, WaitKind};
 use crate::replica::{Dest, Replica};
 use peats::{CasOutcome, SpaceError, SpaceResult, TupleSpace};
-use peats_auth::Digest;
 use peats_auth::KeyTable;
 use peats_codec::{Decode, Encode};
 use peats_netsim::{Mailbox, NodeId, ThreadNet, Transport};
 use peats_policy::OpCall;
 use peats_tuplespace::{Template, Tuple};
-use std::collections::{BTreeMap, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
-/// Client-side timing knobs, shared by every clone of one handle.
-#[derive(Clone, Debug)]
-pub struct ClientConfig {
-    /// Re-broadcast an undecided request after this long without a
-    /// decision. Each retry resets the timer from *now*, so a stall never
-    /// banks a burst of back-to-back rebroadcasts.
-    pub retry_interval: Duration,
-    /// Give up on an invocation (`SpaceError::Unavailable`) after this
-    /// long. Also the end-to-end deadline of a blocked `rd`/`take`: past
-    /// it the registration is cancelled with an ordered `Cancel` and the
-    /// invoke reports `Unavailable` (unless the cancel lost the race to a
-    /// committed match, in which case the tuple is returned).
-    pub invoke_timeout: Duration,
-    /// Request ids start above this value. Replicas dedup requests by
-    /// `(pid, req_id)` and re-reply the cached result on a repeat, so a
-    /// *short-lived* client process re-using a long-lived pid (the `peats`
-    /// CLI) must seed this with something fresh — e.g. a wall-clock
-    /// timestamp — or its first requests replay earlier invocations'
-    /// replies. Long-lived handles keep the 0 default.
-    pub first_request_id: u64,
-    /// Serve `rd`/`rdp`/`count` over the one-round quorum fast path
-    /// (default). Disable to force every read through the ordering
-    /// pipeline — the baseline the `read_fast_path` benchmark compares
-    /// against.
-    pub fast_reads: bool,
-    /// Give up on a fast-read round (and fall back to the ordered path)
-    /// after this long without `f+1` fresh matching replies.
-    pub read_timeout: Duration,
-    /// How long the optimistic probe phase of a fast read waits before
-    /// widening to every replica. A fast read first asks only a preferred
-    /// `f+1` quorum — the cheapest read that can still decide — and widens
-    /// (rotating the preference past the unhelpful replica) if that window
-    /// stays silent this long or answers without deciding.
-    pub read_probe_timeout: Duration,
+/// The transport-independent half of a replica's event loop, shared by
+/// [`replica_main`] and the simulator's replica actor: opening sealed
+/// frames, the progress check, and sealing outputs per recipient.
+#[derive(Debug)]
+pub struct ReplicaHost {
+    keys: KeyTable,
+    n: usize,
+    last_seen_exec: Seq,
 }
 
-impl Default for ClientConfig {
-    fn default() -> Self {
-        ClientConfig {
-            retry_interval: Duration::from_millis(500),
-            invoke_timeout: Duration::from_secs(10),
-            first_request_id: 0,
-            fast_reads: true,
-            read_timeout: Duration::from_millis(500),
-            read_probe_timeout: Duration::from_millis(25),
+impl ReplicaHost {
+    /// The host for the replica holding `keys` in a cluster of `n`.
+    pub fn new(keys: KeyTable, n: usize) -> Self {
+        ReplicaHost {
+            keys,
+            n,
+            last_seen_exec: 0,
         }
     }
-}
 
-/// Seals and ships a batch of replica outputs over any transport.
-pub fn ship<T: Transport>(
-    net: &T,
-    keys: &KeyTable,
-    me: NodeId,
-    n: usize,
-    outputs: Vec<(Dest, Message)>,
-) {
-    for (dest, msg) in outputs {
-        match dest {
-            Dest::Replica(r) => {
-                let sealed = Sealed::seal(keys, u64::from(r), &msg);
-                net.send(me, r, sealed.to_bytes());
-            }
-            Dest::AllReplicas => {
-                for r in 0..n as NodeId {
-                    if r == me {
-                        continue;
-                    }
-                    let sealed = Sealed::seal(keys, u64::from(r), &msg);
-                    net.send(me, r, sealed.to_bytes());
-                }
-            }
-            Dest::Client(node) => {
-                let sealed = Sealed::seal(keys, node, &msg);
-                net.send(me, node as NodeId, sealed.to_bytes());
+    /// Opens one inbound frame and feeds it to `replica`. Garbage and bad
+    /// MACs are dropped.
+    pub fn on_frame(&self, replica: &mut Replica, payload: &[u8]) -> Vec<(Dest, Message)> {
+        match Sealed::from_bytes(payload)
+            .ok()
+            .and_then(|s| s.open(&self.keys))
+        {
+            Some((sender, msg)) => replica.on_message(sender, msg),
+            None => Vec::new(),
+        }
+    }
+
+    /// The periodic progress check: a replica that executed nothing since
+    /// the previous check suspects the primary (the view-change trigger).
+    pub fn on_progress_check(&mut self, replica: &mut Replica) -> Vec<(Dest, Message)> {
+        let last = replica.last_exec();
+        let outputs = if last == self.last_seen_exec {
+            replica.on_progress_timeout()
+        } else {
+            Vec::new()
+        };
+        self.last_seen_exec = last;
+        outputs
+    }
+
+    /// Seals each output for its recipient(s) and hands the bytes to
+    /// `send`.
+    pub fn ship(&self, outputs: Vec<(Dest, Message)>, mut send: impl FnMut(NodeId, Vec<u8>)) {
+        for (dest, msg) in outputs {
+            let (first, last, skip) = match dest {
+                Dest::Replica(r) => (u64::from(r), u64::from(r), None),
+                Dest::AllReplicas => (0, self.n as u64 - 1, Some(self.keys.id())),
+                Dest::Client(node) => (node, node, None),
+            };
+            for node in (first..=last).filter(|node| Some(*node) != skip) {
+                send(
+                    node as NodeId,
+                    Sealed::seal(&self.keys, node, &msg).to_bytes(),
+                );
             }
         }
     }
@@ -113,11 +100,9 @@ pub fn ship<T: Transport>(
 
 /// The replica event loop: drives one [`Replica`] state machine from a
 /// transport mailbox until `stop` is set or the transport disconnects.
-/// This is the loop a replica thread runs in [`ThreadedCluster`] and the
-/// loop `peatsd` runs as a whole OS process — same code, different
-/// [`Transport`].
-///
-/// [`ThreadedCluster`]: crate::ThreadedCluster
+/// This is the loop a replica thread runs in an in-process
+/// [`Cluster`](crate::Cluster) and the loop `peatsd` runs as a whole OS
+/// process — same code, different [`Transport`].
 pub fn replica_main<T: Transport>(
     replica: Arc<parking_lot::Mutex<Replica>>,
     keys: KeyTable,
@@ -128,7 +113,8 @@ pub fn replica_main<T: Transport>(
     progress_period: Duration,
 ) {
     let me = mailbox.id();
-    let mut last_seen_exec = 0;
+    let mut host = ReplicaHost::new(keys, n);
+    let send = |to, bytes| net.send(me, to, bytes);
     // Deadline-based progress check: the next check time only moves when a
     // check actually runs, never because a message arrived. A quiet-period
     // timer (reset on every receipt) is starved forever by steady traffic —
@@ -137,39 +123,21 @@ pub fn replica_main<T: Transport>(
     //
     // The replica is behind a mutex (uncontended except for test
     // introspection and fault/restart injection); the lock is held per
-    // state-machine call, never across a blocking receive.
+    // state-machine call, never across a blocking receive or a send.
     let mut next_check = Instant::now() + progress_period;
     loop {
         if stop.load(Ordering::Relaxed) {
             return;
         }
-        let now = Instant::now();
-        if now >= next_check {
-            let outputs = {
-                let mut replica = replica.lock();
-                let last = replica.last_exec();
-                let outputs = if last == last_seen_exec {
-                    replica.on_progress_timeout()
-                } else {
-                    Vec::new()
-                };
-                last_seen_exec = last;
-                outputs
-            };
-            ship(&net, &keys, me, n, outputs);
+        if Instant::now() >= next_check {
+            let outputs = host.on_progress_check(&mut replica.lock());
+            host.ship(outputs, send);
             next_check = Instant::now() + progress_period;
         }
-        let wait = next_check.saturating_duration_since(Instant::now());
-        match mailbox.recv_timeout(wait) {
+        match mailbox.recv_timeout(next_check.saturating_duration_since(Instant::now())) {
             Ok(Some((_, payload))) => {
-                let Ok(sealed) = Sealed::from_bytes(&payload) else {
-                    continue;
-                };
-                let Some((sender, msg)) = sealed.open(&keys) else {
-                    continue;
-                };
-                let outputs = replica.lock().on_message(sender, msg);
-                ship(&net, &keys, me, n, outputs);
+                let outputs = host.on_frame(&mut replica.lock(), &payload);
+                host.ship(outputs, send);
             }
             Ok(None) => {}    // deadline reached; handled at the top of the loop
             Err(_) => return, // transport gone
@@ -177,167 +145,64 @@ pub fn replica_main<T: Transport>(
     }
 }
 
-/// A reply routed to an in-flight invocation by `req_id`.
-enum ReplyEnvelope {
-    /// An ordered-path `Reply`: the `(seq, result)` pair the replica
-    /// recorded at execution.
-    Ordered {
-        replica: ReplicaId,
-        req_id: u64,
-        seq: Seq,
-        result: OpResult,
-    },
-    /// A fast-path `ReadReply`: the replica's answer at its current
-    /// execution point.
-    Fast {
-        replica: ReplicaId,
-        req_id: u64,
-        seq: Seq,
-        digest: Digest,
-        result: OpResult,
-    },
+/// Routes each incoming reply to the in-flight invocation it answers, by
+/// `req_id`. Shared by all clones of one client handle; the router thread
+/// owns the node's mailbox, so an invocation never holds it — and never
+/// discards replies addressed to other in-flight requests. A reply with no
+/// route (a late reply for a completed invocation) is dropped.
+type ReplyDemux = parking_lot::Mutex<BTreeMap<u64, mpsc::Sender<Reply>>>;
+
+/// One invocation's reply channel, registered in the demux under every
+/// request id the invocation sends; deregistered on drop.
+struct Route {
+    demux: Arc<ReplyDemux>,
+    tx: mpsc::Sender<Reply>,
+    rx: mpsc::Receiver<Reply>,
+    ids: Vec<u64>,
 }
 
-impl ReplyEnvelope {
-    fn req_id(&self) -> u64 {
-        match self {
-            ReplyEnvelope::Ordered { req_id, .. } | ReplyEnvelope::Fast { req_id, .. } => *req_id,
-        }
-    }
-}
-
-/// Routes each incoming `Reply` to the in-flight invocation (by `req_id`)
-/// it answers. Shared by all clones of one client handle; the router
-/// thread owns the node's mailbox, so an invocation never holds it — and
-/// never discards replies addressed to other in-flight requests.
-#[derive(Default)]
-struct ReplyDemux {
-    sessions: parking_lot::Mutex<BTreeMap<u64, mpsc::Sender<ReplyEnvelope>>>,
-    closed: AtomicBool,
-}
-
-impl ReplyDemux {
-    fn register(&self, req_id: u64) -> mpsc::Receiver<ReplyEnvelope> {
+impl Route {
+    fn new(demux: &Arc<ReplyDemux>) -> Self {
         let (tx, rx) = mpsc::channel();
-        // The closed check must happen under the sessions lock: checked
-        // outside, a concurrent `close` could clear the map between the
-        // check and the insert, leaving a sender that never disconnects
-        // (the invocation would burn its whole timeout instead of failing
-        // fast).
-        let mut sessions = self.sessions.lock();
-        if !self.closed.load(Ordering::Acquire) {
-            sessions.insert(req_id, tx);
+        let (demux, ids) = (Arc::clone(demux), Vec::new());
+        Route { demux, tx, rx, ids }
+    }
+
+    fn listen(&mut self, req_id: u64) {
+        if !self.ids.contains(&req_id) {
+            self.demux.lock().insert(req_id, self.tx.clone());
+            self.ids.push(req_id);
         }
-        // When closed, the sender is dropped here and the receiver reports
-        // Disconnected immediately.
-        rx
-    }
-
-    fn deregister(&self, req_id: u64) {
-        self.sessions.lock().remove(&req_id);
-    }
-
-    fn route(&self, env: ReplyEnvelope) {
-        if let Some(tx) = self.sessions.lock().get(&env.req_id()) {
-            let _ = tx.send(env);
-        }
-        // No session with that req_id: a late reply for a completed (or
-        // abandoned) invocation — drop it.
-    }
-
-    fn close(&self) {
-        let mut sessions = self.sessions.lock();
-        self.closed.store(true, Ordering::Release);
-        // Dropping the senders disconnects every waiting invocation.
-        sessions.clear();
     }
 }
 
-/// Deregisters an invocation's demux session on every exit path.
-struct SessionGuard<'a> {
-    demux: &'a ReplyDemux,
-    req_id: u64,
-}
-
-impl Drop for SessionGuard<'_> {
+impl Drop for Route {
     fn drop(&mut self) {
-        self.demux.deregister(self.req_id);
+        let mut routes = self.demux.lock();
+        for id in &self.ids {
+            routes.remove(id);
+        }
     }
 }
 
 fn client_router<M: Mailbox>(mailbox: M, keys: KeyTable, demux: Arc<ReplyDemux>) {
     while let Some((_, payload)) = mailbox.recv() {
-        let Ok(sealed) = Sealed::from_bytes(&payload) else {
-            continue;
-        };
-        let Some((_, msg)) = sealed.open(&keys) else {
-            continue;
-        };
-        match msg {
-            // A replica-pushed wake carries the same fields as an ordered
-            // reply and answers the same blocked registration, so both
-            // funnel into the one `Ordered` envelope; the session layer's
-            // per-replica voting treats them identically.
-            Message::Reply {
-                req_id,
-                seq,
-                replica,
-                result,
-                ..
+        if let Some(reply) = Reply::open(&keys, &payload) {
+            if let Some(tx) = demux.lock().get(&reply.req_id) {
+                let _ = tx.send(reply);
             }
-            | Message::Wake {
-                req_id,
-                seq,
-                result,
-                replica,
-            } => {
-                demux.route(ReplyEnvelope::Ordered {
-                    replica,
-                    req_id,
-                    seq,
-                    result,
-                });
-            }
-            Message::ReadReply {
-                req_id,
-                seq,
-                digest,
-                result,
-                replica,
-            } => {
-                demux.route(ReplyEnvelope::Fast {
-                    replica,
-                    req_id,
-                    seq,
-                    digest,
-                    result,
-                });
-            }
-            _ => {}
         }
     }
-    // Mailbox disconnected: the transport is gone. Wake every waiter.
-    demux.close();
-}
-
-/// Observability counters shared by all clones of one handle.
-#[derive(Debug, Default)]
-struct ClientStats {
-    rebroadcasts: AtomicU64,
-    in_flight: AtomicU64,
-    max_in_flight: AtomicU64,
-    fast_reads: AtomicU64,
-    fast_read_fallbacks: AtomicU64,
 }
 
 /// Client handle onto a replicated PEATS cluster reached over any
 /// [`Transport`]; implements [`peats::TupleSpace`], so all algorithms run
-/// on it unchanged. Clones share the node's identity, request counter, and
-/// reply router — and invoke **concurrently**.
+/// on it unchanged. Clones share the node's identity, request counter,
+/// read watermark, and reply router — and invoke **concurrently**.
 ///
 /// The default transport parameter keeps the thread-backed tier's spelling:
 /// `ReplicatedPeats` is the in-memory handle handed out by
-/// [`ThreadedCluster::handle`](crate::ThreadedCluster::handle), while
+/// [`ThreadedCluster::handle`](crate::Cluster::handle), while
 /// `ReplicatedPeats<TcpTransport>` is a real network client.
 #[derive(Clone)]
 pub struct ReplicatedPeats<T: Transport = ThreadNet> {
@@ -345,24 +210,8 @@ pub struct ReplicatedPeats<T: Transport = ThreadNet> {
     demux: Arc<ReplyDemux>,
     keys: KeyTable,
     node: NodeId,
-    pid: u64,
-    f: usize,
-    n_replicas: usize,
-    next_req: Arc<AtomicU64>,
-    cfg: ClientConfig,
-    stats: Arc<ClientStats>,
-    /// Read watermark: the highest *quorum-backed* seq this handle has
-    /// observed — advanced by every accepted ordered reply and every
-    /// accepted fast read. Fast reads demand a quorum at or above it,
-    /// which is exactly read-your-writes: the quorum has executed every
-    /// operation this handle ever had acknowledged. Only quorum-backed
-    /// seqs advance it, so a Byzantine replica claiming `seq = u64::MAX`
-    /// cannot wedge the handle into permanent ordered fallback.
-    watermark: Arc<AtomicU64>,
-    /// Start of the preferred `f+1` probe window for fast reads. Rotated
-    /// whenever a probe fails to decide, so a crashed, slow, or Byzantine
-    /// replica only taxes the first read that probes it.
-    probe_offset: Arc<AtomicU64>,
+    client: Arc<ClientState>,
+    epoch: Instant,
 }
 
 impl<T: Transport> ReplicatedPeats<T> {
@@ -382,10 +231,9 @@ impl<T: Transport> ReplicatedPeats<T> {
         let node = mailbox.id();
         let demux = Arc::new(ReplyDemux::default());
         {
-            let keys = keys.clone();
-            let demux = Arc::clone(&demux);
-            // The router exits (and closes the demux) when the mailbox
-            // disconnects — i.e. when the transport shuts down.
+            let (keys, demux) = (keys.clone(), Arc::clone(&demux));
+            // The router exits when the mailbox disconnects — i.e. when
+            // the transport shuts down.
             std::thread::spawn(move || client_router(mailbox, keys, demux));
         }
         ReplicatedPeats {
@@ -393,322 +241,63 @@ impl<T: Transport> ReplicatedPeats<T> {
             demux,
             keys,
             node,
-            pid,
-            f,
-            n_replicas,
-            next_req: Arc::new(AtomicU64::new(cfg.first_request_id)),
-            cfg,
-            stats: Arc::new(ClientStats::default()),
-            watermark: Arc::new(AtomicU64::new(0)),
-            probe_offset: Arc::new(AtomicU64::new(0)),
+            client: Arc::new(ClientState::new(pid, f, n_replicas, cfg)),
+            epoch: Instant::now(),
         }
     }
 
-    fn invoke(&self, op: OpCall<'static>) -> SpaceResult<OpResult> {
-        self.invoke_op(RequestOp::Call(op))
+    fn now(&self) -> Duration {
+        self.epoch.elapsed()
     }
 
-    fn invoke_op(&self, op: RequestOp) -> SpaceResult<OpResult> {
-        let req_id = self.next_req.fetch_add(1, Ordering::Relaxed) + 1;
-        let rx = self.demux.register(req_id);
-        let _session_guard = SessionGuard {
-            demux: &self.demux,
-            req_id,
-        };
-        let mut session = ClientSession::new_op(self.pid, req_id, op, self.f);
-        let broadcast = |session: &ClientSession| {
-            for r in 0..self.n_replicas as NodeId {
-                let sealed = Sealed::seal(&self.keys, u64::from(r), &session.request_message());
-                self.net.send(self.node, r, sealed.to_bytes());
-            }
-        };
-        broadcast(&session);
-        // Track in-flight depth (tests assert clones genuinely overlap).
-        let depth = self.stats.in_flight.fetch_add(1, Ordering::Relaxed) + 1;
-        self.stats.max_in_flight.fetch_max(depth, Ordering::Relaxed);
-        let result = (|| {
-            let deadline = Instant::now() + self.cfg.invoke_timeout;
-            let mut next_retry = Instant::now() + self.cfg.retry_interval;
-            loop {
-                let now = Instant::now();
-                if now >= deadline {
-                    return Err(SpaceError::Unavailable(
-                        "no f+1 matching replies before timeout".into(),
-                    ));
-                }
-                if now >= next_retry {
-                    broadcast(&session);
-                    self.stats.rebroadcasts.fetch_add(1, Ordering::Relaxed);
-                    // Reset from *now*, not the missed tick: after a long
-                    // stall (`+= interval` drifting behind the clock) every
-                    // banked tick would fire a rebroadcast back-to-back.
-                    next_retry = Instant::now() + self.cfg.retry_interval;
-                }
-                // Event-driven wait: block on the reply channel until the
-                // earlier of the retry and overall deadlines. A reply wakes
-                // the invocation immediately — latency is the cluster's
-                // decision time, not a poll-tick quantum.
-                let wait = next_retry
-                    .min(deadline)
-                    .saturating_duration_since(Instant::now());
-                match rx.recv_timeout(wait) {
-                    Ok(ReplyEnvelope::Ordered {
-                        replica,
-                        req_id: rid,
-                        seq,
-                        result,
-                    }) => {
-                        if let Some((seq, result)) = session.on_reply(replica, rid, seq, result) {
-                            // Read-your-writes: every future fast read must
-                            // come from a quorum that has executed this slot.
-                            self.watermark.fetch_max(seq, Ordering::Relaxed);
-                            return Ok(result);
-                        }
-                    }
-                    Ok(ReplyEnvelope::Fast { .. }) => {} // fast replies never share a req_id with an ordered request
-                    Err(mpsc::RecvTimeoutError::Timeout) => {}
-                    Err(mpsc::RecvTimeoutError::Disconnected) => {
-                        return Err(SpaceError::Unavailable("cluster shut down".into()));
-                    }
-                }
-            }
-        })();
-        self.stats.in_flight.fetch_sub(1, Ordering::Relaxed);
-        result
+    fn send(&self, to: ReplicaId, msg: &Message) {
+        let sealed = Sealed::seal(&self.keys, u64::from(to), msg);
+        self.net.send(self.node, to, sealed.to_bytes());
     }
 
-    /// Read-only invocation: try the one-round quorum fast path, falling
-    /// back to the full ordering pipeline on timeout or when replicas
-    /// disagree. `op` must be `rd`/`rdp`/`count` — replicas refuse to
-    /// fast-serve anything else.
-    fn invoke_read(&self, op: OpCall<'static>) -> SpaceResult<OpResult> {
-        if !self.cfg.fast_reads {
-            return self.invoke(op);
-        }
-        match self.try_fast_read(&op) {
-            Some(result) => {
-                self.stats.fast_reads.fetch_add(1, Ordering::Relaxed);
-                Ok(result)
-            }
-            None => {
-                self.stats
-                    .fast_read_fallbacks
-                    .fetch_add(1, Ordering::Relaxed);
-                self.invoke(op)
-            }
-        }
-    }
-
-    /// One fast-read round: ask replicas for the read, accept a result
-    /// backed by `f+1` replicas agreeing on `(seq, digest)` at
-    /// `seq ≥ watermark`. `None` means fall back (timeout, disagreement,
-    /// or shutdown — the ordered path reports the terminal error).
-    ///
-    /// The request goes out in two phases. The *probe* asks only a
-    /// preferred `f+1` window of replicas — exactly the quorum that can
-    /// decide, so the common fault-free case pays for `f+1` request/reply
-    /// pairs instead of `3f+1`. If the window answers without deciding
-    /// (stale, Byzantine, or conflicting replies) or stays silent past
-    /// `read_probe_timeout`, the read *widens* to the remaining replicas
-    /// and rotates the preferred window, so an unhelpful replica only
-    /// taxes the reads that first discover it.
-    fn try_fast_read(&self, op: &OpCall<'static>) -> Option<OpResult> {
-        let req_id = self.next_req.fetch_add(1, Ordering::Relaxed) + 1;
-        let rx = self.demux.register(req_id);
-        let _session_guard = SessionGuard {
-            demux: &self.demux,
-            req_id,
-        };
-        let watermark = self.watermark.load(Ordering::Relaxed);
-        let mut session = ReadSession::new(req_id, watermark, self.f, self.n_replicas);
-        let msg = Message::ReadRequest {
-            client: self.pid,
-            req_id,
-            op: op.clone(),
-            watermark,
-        };
-        let quorum = self.f + 1;
-        let probe = self.probe_offset.load(Ordering::Relaxed) as usize % self.n_replicas;
-        let send_to = |i: usize| {
-            let r = ((probe + i) % self.n_replicas) as NodeId;
-            let sealed = Sealed::seal(&self.keys, u64::from(r), &msg);
-            self.net.send(self.node, r, sealed.to_bytes());
-        };
-        for i in 0..quorum.min(self.n_replicas) {
-            send_to(i);
-        }
-        let deadline = Instant::now() + self.cfg.read_timeout;
-        let probe_deadline =
-            Instant::now() + self.cfg.read_probe_timeout.min(self.cfg.read_timeout);
-        let mut widened = quorum >= self.n_replicas;
+    /// The wall-clock loop: ships the invocation's outbox, then waits on
+    /// its reply channel until a reply arrives or its next timer is due,
+    /// until it decides.
+    fn drive(&self, inv: &mut Invocation, route: &mut Route) -> SpaceResult<(Seq, OpResult)> {
         loop {
-            let now = Instant::now();
-            if now >= deadline {
-                return None;
-            }
-            if !widened && (now >= probe_deadline || session.responders() >= quorum) {
-                widened = true;
-                self.probe_offset.fetch_add(1, Ordering::Relaxed);
-                for i in quorum..self.n_replicas {
-                    send_to(i);
+            for (to, msg) in inv.drain_outbox() {
+                if let Message::Request(Request { req_id, .. })
+                | Message::ReadRequest { req_id, .. } = &msg
+                {
+                    route.listen(*req_id);
                 }
+                self.send(to, &msg);
             }
-            let until = if widened {
-                deadline
-            } else {
-                probe_deadline.min(deadline)
-            };
-            let wait = until.saturating_duration_since(Instant::now());
-            match rx.recv_timeout(wait) {
-                Ok(ReplyEnvelope::Fast {
-                    replica,
-                    req_id: rid,
-                    seq,
-                    digest,
-                    result,
-                }) => match session.on_read_reply(replica, rid, seq, digest, result) {
-                    ReadPoll::Accepted { seq, result } => {
-                        // An accepted fast read is quorum-backed: it, too,
-                        // advances the watermark (monotonic reads).
-                        self.watermark.fetch_max(seq, Ordering::Relaxed);
-                        return Some(result);
-                    }
-                    ReadPoll::NoQuorum => return None,
-                    ReadPoll::Pending => {}
-                },
-                Ok(ReplyEnvelope::Ordered { .. }) => {}
-                // A probe-phase timeout loops back to widen; the overall
-                // deadline check at the top of the loop ends the round.
-                Err(mpsc::RecvTimeoutError::Timeout) => {}
-                Err(mpsc::RecvTimeoutError::Disconnected) => return None,
+            if let Some(outcome) = inv.take_outcome() {
+                return outcome;
             }
+            let wait = inv.next_timer().saturating_sub(self.now());
+            let reply = route.rx.recv_timeout(wait).ok();
+            inv.step(self.now(), reply);
         }
+    }
+
+    fn call(&self, op: Op) -> SpaceResult<OpResult> {
+        let mut inv = Invocation::new(Arc::clone(&self.client), op, self.now());
+        let (_, result) = self.drive(&mut inv, &mut Route::new(&self.demux))?;
+        Ok(result)
     }
 
     /// Blocking `rd`/`take`: one ordered `Register` parks a template at
     /// every replica, then the invocation *waits* — replicas push a `Wake`
     /// when a committed `out` matches, so a blocked read costs exactly one
     /// consensus round (plus one for the wake-carrying `out` it shares)
-    /// instead of a consensus round per poll tick.
-    ///
-    /// Past `invoke_timeout` the registration is detached with an ordered
-    /// `Cancel`; the cancel and a concurrent match race *in the total
-    /// order*, so one final `Register` retransmit reads the authoritative
-    /// outcome from the replicas' reply caches: a cached tuple means the
-    /// match committed first (the tuple is ours — returning `Unavailable`
-    /// would leak it), a cached `Registered` means the cancel won.
+    /// instead of a consensus round per poll tick. Past `invoke_timeout`
+    /// the registration is cancelled in the total order; see
+    /// [`Op::Blocking`].
     fn invoke_blocking(&self, template: &Template, kind: WaitKind) -> SpaceResult<Tuple> {
-        let req_id = self.next_req.fetch_add(1, Ordering::Relaxed) + 1;
-        let rx = self.demux.register(req_id);
-        let _session_guard = SessionGuard {
-            demux: &self.demux,
-            req_id,
-        };
-        let mut session =
-            BlockingSession::new(self.pid, req_id, template.clone(), kind, false, self.f);
-        let broadcast = |session: &BlockingSession| {
-            for r in 0..self.n_replicas as NodeId {
-                let sealed = Sealed::seal(&self.keys, u64::from(r), &session.request_message());
-                self.net.send(self.node, r, sealed.to_bytes());
-            }
-        };
-        broadcast(&session);
-        let depth = self.stats.in_flight.fetch_add(1, Ordering::Relaxed) + 1;
-        self.stats.max_in_flight.fetch_max(depth, Ordering::Relaxed);
-        let result = (|| {
-            let deadline = Instant::now() + self.cfg.invoke_timeout;
-            let mut next_retry = Instant::now() + self.cfg.retry_interval;
-            loop {
-                let now = Instant::now();
-                if now >= deadline {
-                    break;
-                }
-                if now >= next_retry && session.parked_at().is_none() {
-                    // Only the un-acknowledged phase retransmits: once f+1
-                    // replicas confirmed the park, the next message we are
-                    // owed is a pushed wake, not a reply.
-                    broadcast(&session);
-                    self.stats.rebroadcasts.fetch_add(1, Ordering::Relaxed);
-                    next_retry = Instant::now() + self.cfg.retry_interval;
-                }
-                let wait = next_retry
-                    .min(deadline)
-                    .saturating_duration_since(Instant::now());
-                match rx.recv_timeout(wait) {
-                    Ok(ReplyEnvelope::Ordered {
-                        replica,
-                        req_id: rid,
-                        seq,
-                        result,
-                    }) => match session.on_reply(replica, rid, seq, result) {
-                        BlockingPoll::Decided(seq, result) => {
-                            self.watermark.fetch_max(seq, Ordering::Relaxed);
-                            return self.finish_blocking(result);
-                        }
-                        BlockingPoll::Parked(seq) => {
-                            // The registration itself committed at `seq`;
-                            // read-your-writes covers it like any write.
-                            self.watermark.fetch_max(seq, Ordering::Relaxed);
-                        }
-                        BlockingPoll::Pending => {}
-                    },
-                    Ok(ReplyEnvelope::Fast { .. }) => {}
-                    Err(mpsc::RecvTimeoutError::Timeout) => {}
-                    Err(mpsc::RecvTimeoutError::Disconnected) => {
-                        return Err(SpaceError::Unavailable("cluster shut down".into()));
-                    }
-                }
-            }
-            // Deadline passed while parked (or never acknowledged). Detach
-            // the registration in the total order, then settle the race.
-            self.invoke_op(RequestOp::Cancel { target: req_id })?;
-            broadcast(&session);
-            let settle = Instant::now() + self.cfg.retry_interval;
-            loop {
-                let wait = settle.saturating_duration_since(Instant::now());
-                if wait.is_zero() {
-                    return Err(SpaceError::Unavailable(
-                        "blocked operation timed out and was cancelled".into(),
-                    ));
-                }
-                match rx.recv_timeout(wait) {
-                    Ok(ReplyEnvelope::Ordered {
-                        replica,
-                        req_id: rid,
-                        seq,
-                        result,
-                    }) => match session.on_reply(replica, rid, seq, result) {
-                        BlockingPoll::Decided(seq, result) => {
-                            self.watermark.fetch_max(seq, Ordering::Relaxed);
-                            return self.finish_blocking(result);
-                        }
-                        // Still `Registered` in the caches: the cancel won.
-                        BlockingPoll::Parked(_) => {
-                            return Err(SpaceError::Unavailable(
-                                "blocked operation timed out and was cancelled".into(),
-                            ));
-                        }
-                        BlockingPoll::Pending => {}
-                    },
-                    Ok(ReplyEnvelope::Fast { .. }) => {}
-                    Err(mpsc::RecvTimeoutError::Timeout) => {}
-                    Err(mpsc::RecvTimeoutError::Disconnected) => {
-                        return Err(SpaceError::Unavailable("cluster shut down".into()));
-                    }
-                }
-            }
-        })();
-        self.stats.in_flight.fetch_sub(1, Ordering::Relaxed);
-        result
-    }
-
-    fn finish_blocking(&self, result: OpResult) -> SpaceResult<Tuple> {
-        match result {
+        let template = template.clone();
+        match self.call(Op::Blocking { template, kind })? {
             OpResult::Tuple(Some(t)) => Ok(t),
-            OpResult::Denied(d) => Err(denied(d)),
-            other => Err(SpaceError::Unavailable(format!(
-                "unexpected result {other:?}"
-            ))),
+            OpResult::Tuple(None) => Err(SpaceError::Unavailable(
+                "blocked operation timed out and was cancelled".into(),
+            )),
+            other => Err(refusal(other)),
         }
     }
 
@@ -719,143 +308,35 @@ impl<T: Transport> ReplicatedPeats<T> {
     /// slot — tuples already in the space are not replayed (pair with
     /// [`rdp`](TupleSpace::rdp) for a snapshot-then-follow pattern).
     pub fn subscribe(&self, template: &Template) -> SpaceResult<Subscription<T>> {
-        let req_id = self.next_req.fetch_add(1, Ordering::Relaxed) + 1;
-        let rx = self.demux.register(req_id);
-        let mut park = BlockingSession::new(
-            self.pid,
-            req_id,
-            template.clone(),
-            WaitKind::Rd,
-            true,
-            self.f,
-        );
-        let mut stream = WakeStreamSession::new(req_id, self.f, self.n_replicas);
-        let mut pending = VecDeque::new();
-        let broadcast = |session: &BlockingSession| {
-            for r in 0..self.n_replicas as NodeId {
-                let sealed = Sealed::seal(&self.keys, u64::from(r), &session.request_message());
-                self.net.send(self.node, r, sealed.to_bytes());
-            }
-        };
-        broadcast(&park);
-        let deadline = Instant::now() + self.cfg.invoke_timeout;
-        let mut next_retry = Instant::now() + self.cfg.retry_interval;
-        loop {
-            let now = Instant::now();
-            if now >= deadline {
-                self.demux.deregister(req_id);
-                return Err(SpaceError::Unavailable(
-                    "no f+1 registration acks before timeout".into(),
-                ));
-            }
-            if now >= next_retry {
-                broadcast(&park);
-                self.stats.rebroadcasts.fetch_add(1, Ordering::Relaxed);
-                next_retry = Instant::now() + self.cfg.retry_interval;
-            }
-            let wait = next_retry
-                .min(deadline)
-                .saturating_duration_since(Instant::now());
-            match rx.recv_timeout(wait) {
-                Ok(ReplyEnvelope::Ordered {
-                    replica,
-                    req_id: rid,
-                    seq,
-                    result,
-                }) => {
-                    // Wakes racing the park acknowledgement are certified
-                    // through the stream session and queued so the
-                    // subscriber sees them; `Registered` acks feed the park
-                    // vote. Both sessions are fed — each ignores what the
-                    // other consumes.
-                    if let Some((seq, result)) = stream.on_wake(replica, rid, seq, result.clone()) {
-                        self.watermark.fetch_max(seq, Ordering::Relaxed);
-                        match result {
-                            OpResult::Tuple(Some(t)) => pending.push_back(t),
-                            OpResult::Denied(d) => {
-                                self.demux.deregister(req_id);
-                                return Err(denied(d));
-                            }
-                            _ => {}
-                        }
-                    }
-                    match park.on_reply(replica, rid, seq, result) {
-                        BlockingPoll::Decided(seq, OpResult::Denied(d)) => {
-                            self.watermark.fetch_max(seq, Ordering::Relaxed);
-                            self.demux.deregister(req_id);
-                            return Err(denied(d));
-                        }
-                        // Parked is the normal ack; a decided (non-denied)
-                        // quorum means wakes outran the `Registered` acks —
-                        // the registration is committed and live either way.
-                        BlockingPoll::Parked(seq) | BlockingPoll::Decided(seq, _) => {
-                            self.watermark.fetch_max(seq, Ordering::Relaxed);
-                            return Ok(Subscription {
-                                handle: self.clone(),
-                                req_id,
-                                rx,
-                                stream,
-                                pending,
-                                cancelled: false,
-                            });
-                        }
-                        BlockingPoll::Pending => {}
-                    }
-                }
-                Ok(ReplyEnvelope::Fast { .. }) => {}
-                Err(mpsc::RecvTimeoutError::Timeout) => {}
-                Err(mpsc::RecvTimeoutError::Disconnected) => {
-                    self.demux.deregister(req_id);
-                    return Err(SpaceError::Unavailable("cluster shut down".into()));
-                }
-            }
+        let op = Op::Subscribe(template.clone());
+        let mut inv = Invocation::new(Arc::clone(&self.client), op, self.now());
+        let mut route = Route::new(&self.demux);
+        match self.drive(&mut inv, &mut route)?.1 {
+            OpResult::Registered => Ok(Subscription {
+                handle: self.clone(),
+                inv,
+                route,
+                cancelled: false,
+            }),
+            other => Err(refusal(other)),
         }
     }
 
     fn expect_tuple(&self, r: OpResult) -> SpaceResult<Option<Tuple>> {
         match r {
             OpResult::Tuple(t) => Ok(t),
-            OpResult::Denied(d) => Err(denied(d)),
-            other => Err(SpaceError::Unavailable(format!(
-                "unexpected result {other:?}"
-            ))),
+            other => Err(refusal(other)),
         }
     }
+}
 
-    /// Total requests issued through this handle and its clones (each is
-    /// one consensus round).
-    pub fn issued_requests(&self) -> u64 {
-        self.next_req.load(Ordering::Relaxed) - self.cfg.first_request_id
-    }
+/// The handle's shared client state: read watermark, probe window, and
+/// counters, across all clones.
+impl<T: Transport> std::ops::Deref for ReplicatedPeats<T> {
+    type Target = ClientState;
 
-    /// Total retry re-broadcasts issued by this handle and its clones. A
-    /// healthy cluster decides well inside the retry interval, so this
-    /// staying at zero is how tests prove no reply was lost or eaten.
-    pub fn rebroadcasts(&self) -> u64 {
-        self.stats.rebroadcasts.load(Ordering::Relaxed)
-    }
-
-    /// High-water mark of concurrently in-flight invocations across all
-    /// clones of this handle.
-    pub fn max_concurrent_invokes(&self) -> u64 {
-        self.stats.max_in_flight.load(Ordering::Relaxed)
-    }
-
-    /// Reads served by the one-round fast path (no ordering round).
-    pub fn fast_reads_served(&self) -> u64 {
-        self.stats.fast_reads.load(Ordering::Relaxed)
-    }
-
-    /// Fast-read rounds that fell back to the ordered path (timeout or
-    /// replica disagreement). A healthy quiescent cluster keeps this at 0.
-    pub fn fast_read_fallbacks(&self) -> u64 {
-        self.stats.fast_read_fallbacks.load(Ordering::Relaxed)
-    }
-
-    /// The handle's current read watermark (highest quorum-backed seq
-    /// observed).
-    pub fn read_watermark(&self) -> Seq {
-        self.watermark.load(Ordering::Relaxed)
+    fn deref(&self) -> &ClientState {
+        &self.client
     }
 }
 
@@ -872,11 +353,8 @@ impl<T: Transport> ReplicatedPeats<T> {
 /// full ordered round.
 pub struct Subscription<T: Transport = ThreadNet> {
     handle: ReplicatedPeats<T>,
-    req_id: u64,
-    rx: mpsc::Receiver<ReplyEnvelope>,
-    stream: WakeStreamSession,
-    /// Events certified while the subscribe handshake was still in flight.
-    pending: VecDeque<Tuple>,
+    inv: Invocation,
+    route: Route,
     cancelled: bool,
 }
 
@@ -884,55 +362,24 @@ impl<T: Transport> Subscription<T> {
     /// Waits up to `timeout` for the next certified event. `Ok(None)`
     /// means no event arrived in time — the subscription stays live.
     pub fn next_timeout(&mut self, timeout: Duration) -> SpaceResult<Option<Tuple>> {
-        if let Some(t) = self.pending.pop_front() {
-            return Ok(Some(t));
-        }
-        let deadline = Instant::now() + timeout;
-        loop {
-            let wait = deadline.saturating_duration_since(Instant::now());
-            if wait.is_zero() {
-                return Ok(None);
-            }
-            match self.rx.recv_timeout(wait) {
-                Ok(ReplyEnvelope::Ordered {
-                    replica,
-                    req_id,
-                    seq,
-                    result,
-                }) => {
-                    if let Some((seq, result)) = self.stream.on_wake(replica, req_id, seq, result) {
-                        self.handle.watermark.fetch_max(seq, Ordering::Relaxed);
-                        match result {
-                            OpResult::Tuple(Some(t)) => return Ok(Some(t)),
-                            OpResult::Denied(d) => return Err(denied(d)),
-                            _ => {}
-                        }
-                    }
-                }
-                Ok(ReplyEnvelope::Fast { .. }) => {}
-                Err(mpsc::RecvTimeoutError::Timeout) => return Ok(None),
-                Err(mpsc::RecvTimeoutError::Disconnected) => {
-                    return Err(SpaceError::Unavailable("cluster shut down".into()));
-                }
-            }
-        }
+        self.inv.await_event(self.handle.now(), timeout);
+        let (_, event) = self.handle.drive(&mut self.inv, &mut self.route)?;
+        self.handle.expect_tuple(event)
     }
 
     /// Tears the registration down with a full ordered `Cancel` round —
     /// on `Ok`, the replicas have provably pruned it.
     pub fn cancel(mut self) -> SpaceResult<()> {
         self.cancelled = true;
-        self.handle.demux.deregister(self.req_id);
-        self.handle.invoke_op(RequestOp::Cancel {
-            target: self.req_id,
-        })?;
+        let target = self.inv.req_id();
+        self.handle
+            .call(Op::Ordered(RequestOp::Cancel { target }))?;
         Ok(())
     }
 }
 
 impl<T: Transport> Drop for Subscription<T> {
     fn drop(&mut self) {
-        self.handle.demux.deregister(self.req_id);
         if self.cancelled {
             return;
         }
@@ -941,22 +388,21 @@ impl<T: Transport> Drop for Subscription<T> {
         // whole invoke timeout; if every copy of this broadcast is lost the
         // registration survives until a later Cancel with the same target
         // (replicas bound registration memory per client, not per drop).
-        let cancel = crate::messages::Request {
-            client: self.handle.pid,
-            req_id: self
-                .handle
-                .next_req
-                .fetch_add(1, std::sync::atomic::Ordering::Relaxed)
-                + 1,
-            op: RequestOp::Cancel {
-                target: self.req_id,
-            },
-        };
-        let msg = Message::Request(cancel);
-        for r in 0..self.handle.n_replicas as NodeId {
-            let sealed = Sealed::seal(&self.handle.keys, u64::from(r), &msg);
-            self.handle.net.send(self.handle.node, r, sealed.to_bytes());
+        let target = self.inv.req_id();
+        let op = Op::Ordered(RequestOp::Cancel { target });
+        let mut cancel = Invocation::new(Arc::clone(&self.handle.client), op, self.handle.now());
+        for (to, msg) in cancel.drain_outbox() {
+            self.handle.send(to, &msg);
         }
+    }
+}
+
+/// Maps a result the caller did not expect to its error: a policy denial,
+/// or `Unavailable` for anything else.
+fn refusal(result: OpResult) -> SpaceError {
+    match result {
+        OpResult::Denied(d) => denied(d),
+        other => SpaceError::Unavailable(format!("unexpected result {other:?}")),
     }
 }
 
@@ -968,36 +414,31 @@ fn denied(detail: String) -> SpaceError {
 
 impl<T: Transport> TupleSpace for ReplicatedPeats<T> {
     fn out(&self, entry: Tuple) -> SpaceResult<()> {
-        match self.invoke(OpCall::out(entry))? {
+        match self.call(Op::Ordered(RequestOp::Call(OpCall::out(entry))))? {
             OpResult::Done => Ok(()),
-            OpResult::Denied(d) => Err(denied(d)),
-            other => Err(SpaceError::Unavailable(format!(
-                "unexpected result {other:?}"
-            ))),
+            other => Err(refusal(other)),
         }
     }
 
     fn rdp(&self, template: &Template) -> SpaceResult<Option<Tuple>> {
-        let r = self.invoke_read(OpCall::rdp(template.clone()))?;
+        let r = self.call(Op::Read(OpCall::rdp(template.clone())))?;
         self.expect_tuple(r)
     }
 
     fn inp(&self, template: &Template) -> SpaceResult<Option<Tuple>> {
-        let r = self.invoke(OpCall::inp(template.clone()))?;
+        let r = self.call(Op::Ordered(RequestOp::Call(OpCall::inp(template.clone()))))?;
         self.expect_tuple(r)
     }
 
     fn cas(&self, template: &Template, entry: Tuple) -> SpaceResult<CasOutcome> {
-        match self.invoke(OpCall::cas(template.clone(), entry))? {
+        let op = OpCall::cas(template.clone(), entry);
+        match self.call(Op::Ordered(RequestOp::Call(op)))? {
             OpResult::Cas { inserted: true, .. } => Ok(CasOutcome::Inserted),
             OpResult::Cas {
                 inserted: false,
                 found: Some(t),
             } => Ok(CasOutcome::Found(t)),
-            OpResult::Denied(d) => Err(denied(d)),
-            other => Err(SpaceError::Unavailable(format!(
-                "unexpected result {other:?}"
-            ))),
+            other => Err(refusal(other)),
         }
     }
 
@@ -1013,25 +454,22 @@ impl<T: Transport> TupleSpace for ReplicatedPeats<T> {
     }
 
     fn count(&self, template: &Template) -> SpaceResult<usize> {
-        match self.invoke_read(OpCall::count(template.clone()))? {
+        match self.call(Op::Read(OpCall::count(template.clone())))? {
             OpResult::Count(n) => Ok(usize::try_from(n).unwrap_or(usize::MAX)),
-            OpResult::Denied(d) => Err(denied(d)),
-            other => Err(SpaceError::Unavailable(format!(
-                "unexpected result {other:?}"
-            ))),
+            other => Err(refusal(other)),
         }
     }
 
     fn process_id(&self) -> peats_policy::ProcessId {
-        self.pid
+        self.client.pid
     }
 }
 
 impl<T: Transport> std::fmt::Debug for ReplicatedPeats<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ReplicatedPeats")
-            .field("pid", &self.pid)
-            .field("replicas", &self.n_replicas)
+            .field("pid", &self.client.pid)
+            .field("replicas", &self.client.n)
             .finish()
     }
 }

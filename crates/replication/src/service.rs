@@ -207,13 +207,17 @@ impl PeatsService {
     }
 
     /// Executes a `Cancel`: removes every registration client `client`
-    /// installed under request `target`. Idempotent — cancelling a fired
-    /// or unknown registration is a no-op (the tuple, if one was already
-    /// awarded, stays in the client's cached reply).
+    /// installed under request `target` and reports how many it removed as
+    /// `Count`. Idempotent — cancelling a fired or unknown registration
+    /// removes nothing (the tuple, if one was already awarded, stays in
+    /// the client's cached reply). `Count(0)` is the fact a client settling
+    /// a timed-out wait decides on: its cancel lost the race, so the wait's
+    /// outcome is whatever the `Register`'s cached reply holds.
     pub fn cancel(&mut self, client: ProcessId, target: u64) -> OpResult {
+        let before = self.registrations.len();
         self.registrations
             .retain(|_, reg| !(reg.client == client && reg.req_id == target));
-        OpResult::Done
+        OpResult::Count((before - self.registrations.len()) as u64)
     }
 
     /// Drains the wakes produced by requests executed since the last

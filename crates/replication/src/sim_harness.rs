@@ -2,60 +2,51 @@
 //! clients + authenticated links) inside `peats-netsim`.
 //!
 //! Node numbering: replicas occupy nodes `0..n`; client `i` occupies node
-//! `n + i`. Every message on the wire is a MAC-sealed [`Sealed`] envelope;
-//! replicas drop anything that fails authentication, which is what stops a
-//! Byzantine client from impersonating a correct process (§2.1).
+//! `n + i`. Every message on the wire is a MAC-sealed
+//! [`Sealed`] envelope; replicas drop anything that fails
+//! authentication, which is what stops a Byzantine client from
+//! impersonating a correct process (§2.1).
+//!
+//! The simulation runs the production code on both sides: replica actors
+//! drive [`Replica`] through the runtime's [`ReplicaHost`], and clients run
+//! the same [`Invocation`] state machine as the wall-clock handle, stepped
+//! on simulated time (one time unit reads as a microsecond). Simulated
+//! clients never give up on their own: the step budget bounds every call.
 
-use crate::client::{BlockingPoll, BlockingSession, ClientSession, ReadPoll, ReadSession};
+use crate::client::{ClientConfig, ClientState, Invocation, Op, Reply};
 use crate::faults::FaultMode;
-use crate::messages::{Message, OpResult, ReplicaId, Sealed, Seq, WaitKind};
-use crate::replica::{Dest, Replica, ReplicaConfig};
+use crate::messages::{OpResult, ReplicaId, RequestOp, Sealed, Seq, WaitKind};
+use crate::replica::{Replica, ReplicaConfig};
+use crate::runtime::ReplicaHost;
 use crate::service::PeatsService;
-use peats_auth::{Digest, KeyTable};
-use peats_codec::{Decode, Encode};
+use peats_auth::KeyTable;
+use peats_codec::Encode;
 use peats_netsim::{Actor, Context, NetConfig, NodeId, SimNet};
 use peats_policy::{OpCall, Policy, PolicyParams};
 use peats_tuplespace::Template;
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::rc::Rc;
+use std::sync::Arc;
+use std::time::Duration;
 
 /// Timer token used by replica actors for the progress/view-change check.
 const PROGRESS_TIMER: u64 = 1;
 /// Simulated time between progress checks.
 const PROGRESS_PERIOD: u64 = 4_000;
 
-struct ReplicaActor {
-    replica: Rc<RefCell<Replica>>,
-    keys: KeyTable,
-    n_replicas: usize,
-    last_seen_exec: u64,
+/// The simulated clients' timing: the production defaults, minus the
+/// overall deadline.
+fn client_config() -> ClientConfig {
+    ClientConfig {
+        invoke_timeout: Duration::from_secs(1 << 32),
+        ..ClientConfig::default()
+    }
 }
 
-impl ReplicaActor {
-    fn ship(&self, ctx: &mut Context<'_>, outputs: Vec<(Dest, Message)>) {
-        for (dest, msg) in outputs {
-            match dest {
-                Dest::Replica(r) => {
-                    let sealed = Sealed::seal(&self.keys, u64::from(r), &msg);
-                    ctx.send(r, sealed.to_bytes());
-                }
-                Dest::AllReplicas => {
-                    for r in 0..self.n_replicas as NodeId {
-                        if u64::from(r) == self.keys.id() {
-                            continue;
-                        }
-                        let sealed = Sealed::seal(&self.keys, u64::from(r), &msg);
-                        ctx.send(r, sealed.to_bytes());
-                    }
-                }
-                Dest::Client(node) => {
-                    let sealed = Sealed::seal(&self.keys, node, &msg);
-                    ctx.send(node as NodeId, sealed.to_bytes());
-                }
-            }
-        }
-    }
+struct ReplicaActor {
+    replica: Rc<RefCell<Replica>>,
+    host: ReplicaHost,
 }
 
 impl Actor for ReplicaActor {
@@ -64,128 +55,41 @@ impl Actor for ReplicaActor {
     }
 
     fn on_message(&mut self, ctx: &mut Context<'_>, _from: NodeId, payload: &[u8]) {
-        let Ok(sealed) = Sealed::from_bytes(payload) else {
-            return; // garbage: drop
-        };
-        let Some((sender, msg)) = sealed.open(&self.keys) else {
-            return; // bad MAC: drop
-        };
-        let outputs = self.replica.borrow_mut().on_message(sender, msg);
-        self.ship(ctx, outputs);
+        let outputs = self.host.on_frame(&mut self.replica.borrow_mut(), payload);
+        self.host.ship(outputs, |to, bytes| ctx.send(to, bytes));
     }
 
     fn on_timer(&mut self, ctx: &mut Context<'_>, token: u64) {
         if token != PROGRESS_TIMER {
             return;
         }
-        let (last_exec, outputs) = {
-            let mut replica = self.replica.borrow_mut();
-            let last = replica.last_exec();
-            let outputs = if last == self.last_seen_exec {
-                replica.on_progress_timeout()
-            } else {
-                Vec::new()
-            };
-            (last, outputs)
-        };
-        self.last_seen_exec = last_exec;
-        self.ship(ctx, outputs);
+        let outputs = self.host.on_progress_check(&mut self.replica.borrow_mut());
+        self.host.ship(outputs, |to, bytes| ctx.send(to, bytes));
         ctx.set_timer(PROGRESS_PERIOD, PROGRESS_TIMER);
     }
 }
 
-/// A reply logged at a simulated client, tagged by which path served it.
-enum LoggedReply {
-    Ordered {
-        replica: ReplicaId,
-        req_id: u64,
-        seq: Seq,
-        result: OpResult,
-    },
-    Fast {
-        replica: ReplicaId,
-        req_id: u64,
-        seq: Seq,
-        digest: Digest,
-        result: OpResult,
-    },
-}
-
-type ReplyLog = Rc<RefCell<Vec<LoggedReply>>>;
+/// Replies delivered to a simulated client, not yet fed to an invocation.
+type Inbox = Rc<RefCell<Vec<Reply>>>;
 
 struct ClientActor {
     keys: KeyTable,
-    replies: ReplyLog,
+    inbox: Inbox,
 }
 
 impl Actor for ClientActor {
     fn on_message(&mut self, _ctx: &mut Context<'_>, _from: NodeId, payload: &[u8]) {
-        let Ok(sealed) = Sealed::from_bytes(payload) else {
-            return;
-        };
-        match sealed.open(&self.keys) {
-            Some((
-                _,
-                Message::Reply {
-                    req_id,
-                    seq,
-                    replica,
-                    result,
-                    ..
-                },
-            )) => self.replies.borrow_mut().push(LoggedReply::Ordered {
-                replica,
-                req_id,
-                seq,
-                result,
-            }),
-            Some((
-                _,
-                Message::ReadReply {
-                    req_id,
-                    seq,
-                    digest,
-                    result,
-                    replica,
-                },
-            )) => self.replies.borrow_mut().push(LoggedReply::Fast {
-                replica,
-                req_id,
-                seq,
-                digest,
-                result,
-            }),
-            // A pushed wake answers a blocked registration with the same
-            // fields an ordered reply carries — log it on the same track
-            // so the blocking session can vote over both.
-            Some((
-                _,
-                Message::Wake {
-                    req_id,
-                    seq,
-                    result,
-                    replica,
-                },
-            )) => self.replies.borrow_mut().push(LoggedReply::Ordered {
-                replica,
-                req_id,
-                seq,
-                result,
-            }),
-            _ => {}
+        if let Some(reply) = Reply::open(&self.keys, payload) {
+            self.inbox.borrow_mut().push(reply);
         }
     }
 }
 
 struct ClientSlot {
     node: NodeId,
-    pid: u64,
     keys: KeyTable,
-    replies: ReplyLog,
-    next_req_id: u64,
-    /// Highest quorum-backed seq this client has observed (mirrors the
-    /// runtime handle's read watermark).
-    watermark: Seq,
+    inbox: Inbox,
+    state: Arc<ClientState>,
 }
 
 /// Outcome of one simulated fast-read round.
@@ -201,7 +105,7 @@ pub enum FastRead {
     /// All replicas answered, no fresh quorum formed — the client must
     /// fall back to the ordered path.
     NoQuorum,
-    /// The step budget ran out without a decision.
+    /// The round's deadline or the step budget ran out without a decision.
     Timeout,
 }
 
@@ -224,7 +128,6 @@ pub struct SimCluster {
     net: SimNet,
     replicas: Vec<Rc<RefCell<Replica>>>,
     clients: Vec<ClientSlot>,
-    f: usize,
     step_budget: u64,
 }
 
@@ -285,30 +188,26 @@ impl SimCluster {
                 registry.clone(),
             )));
             replicas.push(Rc::clone(&replica));
+            let keys = KeyTable::new(id as u64, master.clone());
             net.add_node(Box::new(ReplicaActor {
                 replica,
-                keys: KeyTable::new(id as u64, master.clone()),
-                n_replicas,
-                last_seen_exec: 0,
+                host: ReplicaHost::new(keys, n_replicas),
             }));
         }
 
         let mut clients = Vec::new();
         for (i, pid) in client_pids.iter().enumerate() {
-            let node_id = (n_replicas + i) as u64;
-            let replies: ReplyLog = Rc::new(RefCell::new(Vec::new()));
-            let keys = KeyTable::new(node_id, master.clone());
+            let keys = KeyTable::new((n_replicas + i) as u64, master.clone());
+            let inbox = Inbox::default();
             let node = net.add_node(Box::new(ClientActor {
                 keys: keys.clone(),
-                replies: Rc::clone(&replies),
+                inbox: Rc::clone(&inbox),
             }));
             clients.push(ClientSlot {
                 node,
-                pid: *pid,
                 keys,
-                replies,
-                next_req_id: 0,
-                watermark: 0,
+                inbox,
+                state: Arc::new(ClientState::new(*pid, f, n_replicas, client_config())),
             });
         }
 
@@ -316,7 +215,6 @@ impl SimCluster {
             net,
             replicas,
             clients,
-            f,
             step_budget: 200_000,
         }
     }
@@ -331,41 +229,39 @@ impl SimCluster {
         self.replicas[id as usize].borrow_mut().set_fault(fault);
     }
 
+    fn each<R>(&self, read: impl Fn(&Replica) -> R) -> Vec<R> {
+        self.replicas.iter().map(|r| read(&r.borrow())).collect()
+    }
+
     /// The view each replica currently sits in.
     pub fn views(&self) -> Vec<u64> {
-        self.replicas.iter().map(|r| r.borrow().view()).collect()
+        self.each(Replica::view)
     }
 
     /// State digests of all replicas (divergence check).
     pub fn state_digests(&self) -> Vec<peats_auth::Digest> {
-        self.replicas
-            .iter()
-            .map(|r| r.borrow().state_digest())
-            .collect()
+        self.each(Replica::state_digest)
     }
 
     /// Each replica's last executed sequence number.
     pub fn last_execs(&self) -> Vec<u64> {
-        self.replicas
-            .iter()
-            .map(|r| r.borrow().last_exec())
-            .collect()
+        self.each(Replica::last_exec)
     }
 
     /// Each replica's stable checkpoint.
     pub fn stable_seqs(&self) -> Vec<u64> {
-        self.replicas
-            .iter()
-            .map(|r| r.borrow().stable_seq())
-            .collect()
+        self.each(Replica::stable_seq)
     }
 
     /// Each replica's memory footprint (bounded-memory assertions).
     pub fn footprints(&self) -> Vec<crate::replica::ReplicaFootprint> {
-        self.replicas
-            .iter()
-            .map(|r| r.borrow().footprint())
-            .collect()
+        self.each(Replica::footprint)
+    }
+
+    /// Client `client_idx`'s shared state: watermark, probe window, and
+    /// counters.
+    pub fn client(&self, client_idx: usize) -> &ClientState {
+        &self.clients[client_idx].state
     }
 
     /// Steps the simulation up to `steps` times with no client activity —
@@ -380,11 +276,73 @@ impl SimCluster {
         }
     }
 
+    fn now(&self) -> Duration {
+        Duration::from_micros(self.net.now())
+    }
+
+    fn start(&self, client_idx: usize, op: Op) -> (usize, Invocation) {
+        let state = Arc::clone(&self.clients[client_idx].state);
+        (client_idx, Invocation::new(state, op, self.now()))
+    }
+
+    /// The step loop: ships every invocation's outbox into the network,
+    /// steps it, and feeds each client's delivered replies and the
+    /// simulated clock to that client's invocations — until `done` holds
+    /// for all of them or `budget` steps ran.
+    fn drive(
+        &mut self,
+        invs: &mut [(usize, Invocation)],
+        budget: u64,
+        done: impl Fn(&Invocation) -> bool,
+    ) {
+        let mut steps = 0u64;
+        loop {
+            for (idx, inv) in invs.iter_mut() {
+                let c = &self.clients[*idx];
+                for (to, msg) in inv.drain_outbox() {
+                    let sealed = Sealed::seal(&c.keys, u64::from(to), &msg);
+                    self.net.inject(c.node, to, sealed.to_bytes());
+                }
+            }
+            if steps >= budget || invs.iter().all(|(_, inv)| done(inv)) {
+                return;
+            }
+            self.net.step();
+            steps += 1;
+            let now = self.now();
+            for i in 0..invs.len() {
+                let idx = invs[i].0;
+                if invs[..i].iter().any(|(c, _)| *c == idx) {
+                    continue; // this client's inbox is already drained
+                }
+                let replies: Vec<Reply> = self.clients[idx].inbox.borrow_mut().drain(..).collect();
+                for (_, inv) in invs.iter_mut().filter(|(c, _)| *c == idx) {
+                    for reply in &replies {
+                        inv.step(now, Some(reply.clone()));
+                    }
+                }
+            }
+            for (_, inv) in invs.iter_mut() {
+                inv.step(now, None);
+            }
+        }
+    }
+
+    fn outcome(inv: &mut Invocation) -> Option<OpResult> {
+        inv.take_outcome()?.ok().map(|(_, result)| result)
+    }
+
+    fn run(&mut self, client_idx: usize, op: Op) -> Option<OpResult> {
+        let mut invs = [self.start(client_idx, op)];
+        self.drive(&mut invs, self.step_budget, Invocation::is_decided);
+        Self::outcome(&mut invs[0].1)
+    }
+
     /// Invokes `op` from client `client_idx`; runs the simulation until the
     /// client accepts a result (`f+1` matching replies) or the step budget
     /// runs out (`None` — e.g. when too many replicas are faulty).
     pub fn invoke(&mut self, client_idx: usize, op: OpCall<'static>) -> Option<OpResult> {
-        self.invoke_many(vec![(client_idx, op)]).pop().flatten()
+        self.run(client_idx, Op::Ordered(RequestOp::Call(op)))
     }
 
     /// Injects every request up-front — all concurrently in flight, so the
@@ -392,98 +350,23 @@ impl SimCluster {
     /// runs the simulation until every client accepted a result or the
     /// step budget runs out. Returns one result per input, in input order.
     pub fn invoke_many(&mut self, ops: Vec<(usize, OpCall<'static>)>) -> Vec<Option<OpResult>> {
-        let n_replicas = self.replicas.len();
-        type Decided = Option<(Seq, OpResult)>;
-        let mut sessions: Vec<(usize, ClientSession, Decided)> = Vec::new();
-        for (client_idx, op) in ops {
-            let c = &mut self.clients[client_idx];
-            c.next_req_id += 1;
-            c.replies.borrow_mut().clear();
-            let session = ClientSession::new(c.pid, c.next_req_id, op, self.f);
-            sessions.push((client_idx, session, None));
-        }
-
-        let broadcast = |cluster: &mut SimCluster, sessions: &[(usize, ClientSession, Decided)]| {
-            for (client_idx, session, decided) in sessions {
-                if decided.is_some() {
-                    continue;
-                }
-                let c = &cluster.clients[*client_idx];
-                let node = c.node;
-                for r in 0..n_replicas as NodeId {
-                    let sealed = Sealed::seal(&c.keys, u64::from(r), &session.request_message());
-                    cluster.net.inject(node, r, sealed.to_bytes());
-                }
-            }
-        };
-        broadcast(self, &sessions);
-
-        let mut steps = 0u64;
-        let mut next_retransmit = 20_000u64;
-        while steps < self.step_budget && sessions.iter().any(|(_, _, d)| d.is_none()) {
-            if !self.net.step() {
-                // Queue drained: retransmit (messages may have been
-                // dropped).
-                broadcast(self, &sessions);
-            }
-            steps += 1;
-            if steps == next_retransmit {
-                broadcast(self, &sessions);
-                next_retransmit += 20_000;
-            }
-            let client_ids: Vec<usize> = sessions.iter().map(|(c, _, _)| *c).collect();
-            for client_idx in client_ids {
-                let pending: Vec<LoggedReply> = self.clients[client_idx]
-                    .replies
-                    .borrow_mut()
-                    .drain(..)
-                    .collect();
-                for reply in pending {
-                    let LoggedReply::Ordered {
-                        replica,
-                        req_id: rid,
-                        seq,
-                        result,
-                    } = reply
-                    else {
-                        continue; // late fast-read replies: not ours
-                    };
-                    // `on_reply` ignores foreign req_ids, so feeding every
-                    // session of this client is safe.
-                    for (idx, session, decided) in sessions.iter_mut() {
-                        if *idx != client_idx || decided.is_some() {
-                            continue;
-                        }
-                        if let Some(pair) = session.on_reply(replica, rid, seq, result.clone()) {
-                            *decided = Some(pair);
-                        }
-                    }
-                }
-            }
-        }
-        // Accepted (quorum-backed) seqs advance the clients' read
-        // watermarks — the fast path's read-your-writes anchor.
-        for (client_idx, _, decided) in &sessions {
-            if let Some((seq, _)) = decided {
-                let w = &mut self.clients[*client_idx].watermark;
-                *w = (*w).max(*seq);
-            }
-        }
-        sessions
+        let mut invs: Vec<(usize, Invocation)> = ops
             .into_iter()
-            .map(|(_, _, d)| d.map(|(_, r)| r))
-            .collect()
+            .map(|(c, op)| self.start(c, Op::Ordered(RequestOp::Call(op))))
+            .collect();
+        self.drive(&mut invs, self.step_budget, Invocation::is_decided);
+        invs.iter_mut().map(|(_, inv)| Self::outcome(inv)).collect()
     }
 
     /// The client's current read watermark.
     pub fn watermark(&self, client_idx: usize) -> Seq {
-        self.clients[client_idx].watermark
+        self.client(client_idx).read_watermark()
     }
 
     /// One fast-read round from `client_idx` at its current watermark.
     /// Accepted reads advance the watermark (monotonic reads).
     pub fn try_fast_read(&mut self, client_idx: usize, op: OpCall<'static>) -> FastRead {
-        let watermark = self.clients[client_idx].watermark;
+        let watermark = self.watermark(client_idx);
         self.try_fast_read_with_watermark(client_idx, op, watermark)
     }
 
@@ -495,83 +378,20 @@ impl SimCluster {
         op: OpCall<'static>,
         watermark: Seq,
     ) -> FastRead {
-        let n_replicas = self.replicas.len();
-        let (node, req_id, msg) = {
-            let c = &mut self.clients[client_idx];
-            c.next_req_id += 1;
-            c.replies.borrow_mut().clear();
-            (
-                c.node,
-                c.next_req_id,
-                Message::ReadRequest {
-                    client: c.pid,
-                    req_id: c.next_req_id,
-                    op,
-                    watermark,
-                },
-            )
-        };
-        let mut session = ReadSession::new(req_id, watermark, self.f, n_replicas);
-        {
-            let c = &self.clients[client_idx];
-            for r in 0..n_replicas as NodeId {
-                let sealed = Sealed::seal(&c.keys, u64::from(r), &msg);
-                self.net.inject(node, r, sealed.to_bytes());
-            }
+        let read_deadline = self.now() + client_config().read_timeout;
+        let mut invs = [self.start(client_idx, Op::FastRead { op, watermark })];
+        self.drive(&mut invs, self.step_budget, Invocation::is_decided);
+        match invs[0].1.take_outcome() {
+            Some(Ok((seq, result))) => FastRead::Accepted { seq, result },
+            Some(Err(_)) if self.now() < read_deadline => FastRead::NoQuorum,
+            _ => FastRead::Timeout,
         }
-        let mut steps = 0u64;
-        while steps < self.step_budget {
-            let live = self.net.step();
-            steps += 1;
-            let pending: Vec<LoggedReply> = self.clients[client_idx]
-                .replies
-                .borrow_mut()
-                .drain(..)
-                .collect();
-            for reply in pending {
-                let LoggedReply::Fast {
-                    replica,
-                    req_id: rid,
-                    seq,
-                    digest,
-                    result,
-                } = reply
-                else {
-                    continue;
-                };
-                match session.on_read_reply(replica, rid, seq, digest, result) {
-                    ReadPoll::Accepted { seq, result } => {
-                        let w = &mut self.clients[client_idx].watermark;
-                        *w = (*w).max(seq);
-                        return FastRead::Accepted { seq, result };
-                    }
-                    ReadPoll::NoQuorum => return FastRead::NoQuorum,
-                    ReadPoll::Pending => {}
-                }
-            }
-            if !live {
-                break; // network drained without a quorum
-            }
-        }
-        FastRead::Timeout
     }
 
-    /// Read-only invocation mirroring the runtime handle: fast path first,
-    /// ordered fallback on `NoQuorum`/timeout.
+    /// Read-only invocation through the production read policy: the `f+1`
+    /// fast path first, ordered fallback on `NoQuorum`/timeout.
     pub fn invoke_read(&mut self, client_idx: usize, op: OpCall<'static>) -> Option<OpResult> {
-        match self.try_fast_read(client_idx, op.clone()) {
-            FastRead::Accepted { result, .. } => Some(result),
-            FastRead::NoQuorum | FastRead::Timeout => self.invoke(client_idx, op),
-        }
-    }
-
-    fn broadcast_blocking(&mut self, client_idx: usize, session: &BlockingSession) {
-        let n_replicas = self.replicas.len();
-        let c = &self.clients[client_idx];
-        for r in 0..n_replicas as NodeId {
-            let sealed = Sealed::seal(&c.keys, u64::from(r), &session.request_message());
-            self.net.inject(c.node, r, sealed.to_bytes());
-        }
+        self.run(client_idx, Op::Read(op))
     }
 
     /// Broadcasts an ordered `Register` from `client_idx` and runs the
@@ -589,101 +409,51 @@ impl SimCluster {
         template: Template,
         kind: WaitKind,
     ) -> (SimBlocked, Option<OpResult>) {
-        let c = &mut self.clients[client_idx];
-        c.next_req_id += 1;
-        c.replies.borrow_mut().clear();
-        let mut session = BlockingSession::new(c.pid, c.next_req_id, template, kind, false, self.f);
-        self.broadcast_blocking(client_idx, &session);
-        let mut steps = 0u64;
-        while steps < self.step_budget {
-            if !self.net.step() {
-                self.broadcast_blocking(client_idx, &session);
-            }
-            steps += 1;
-            let pending: Vec<LoggedReply> = self.clients[client_idx]
-                .replies
-                .borrow_mut()
-                .drain(..)
-                .collect();
-            for reply in pending {
-                let LoggedReply::Ordered {
-                    replica,
-                    req_id,
-                    seq,
-                    result,
-                } = reply
-                else {
-                    continue;
-                };
-                match session.on_reply(replica, req_id, seq, result) {
-                    BlockingPoll::Decided(_, result) => {
-                        return (
-                            SimBlocked {
-                                client_idx,
-                                session,
-                            },
-                            Some(result),
-                        )
-                    }
-                    BlockingPoll::Parked(_) => {
-                        return (
-                            SimBlocked {
-                                client_idx,
-                                session,
-                            },
-                            None,
-                        )
-                    }
-                    BlockingPoll::Pending => {}
-                }
-            }
-        }
-        panic!("registration was neither acknowledged nor decided within the step budget");
+        let mut blocked = SimBlocked {
+            inv: self.start(client_idx, Op::Blocking { template, kind }),
+        };
+        self.drive(
+            std::slice::from_mut(&mut blocked.inv),
+            self.step_budget,
+            |inv| inv.is_decided() || inv.parked_at().is_some(),
+        );
+        let immediate = Self::outcome(&mut blocked.inv.1);
+        assert!(
+            immediate.is_some() || blocked.inv.1.parked_at().is_some(),
+            "registration was neither acknowledged nor decided within the step budget"
+        );
+        (blocked, immediate)
     }
 
     /// Runs the simulation feeding the blocked client's pushed wakes into
-    /// its session until the invoke decides or `budget` steps elapse
-    /// (`None`: still blocked — which is the *correct* outcome while no
-    /// matching tuple has been written and forged wakes are in flight).
+    /// its invocation until it decides or `budget` steps elapse (`None`:
+    /// still blocked — which is the *correct* outcome while no matching
+    /// tuple has been written and forged wakes are in flight).
     pub fn pump_blocked(&mut self, blocked: &mut SimBlocked, budget: u64) -> Option<OpResult> {
-        let mut steps = 0u64;
-        loop {
-            let pending: Vec<LoggedReply> = self.clients[blocked.client_idx]
-                .replies
-                .borrow_mut()
-                .drain(..)
-                .collect();
-            for reply in pending {
-                let LoggedReply::Ordered {
-                    replica,
-                    req_id,
-                    seq,
-                    result,
-                } = reply
-                else {
-                    continue;
-                };
-                if let BlockingPoll::Decided(_, result) =
-                    blocked.session.on_reply(replica, req_id, seq, result)
-                {
-                    return Some(result);
-                }
-            }
-            if steps >= budget {
-                return None;
-            }
-            self.net.step();
-            steps += 1;
-        }
+        self.drive(
+            std::slice::from_mut(&mut blocked.inv),
+            budget,
+            Invocation::is_decided,
+        );
+        Self::outcome(&mut blocked.inv.1)
+    }
+
+    /// The blocked caller's deadline passes now: runs the production
+    /// cancel-then-settle path to its decision — the woken tuple when a
+    /// match committed before the cancel, `Tuple(None)` when the cancel
+    /// won.
+    pub fn cancel_blocked(&mut self, blocked: &mut SimBlocked) -> Option<OpResult> {
+        blocked.inv.1.give_up(self.now());
+        self.pump_blocked(blocked, self.step_budget)
     }
 }
 
 /// An in-flight blocked `rd`/`take` at a simulated client: the ordered
 /// `Register` committed and `f+1` replicas confirmed the park. Feed it to
 /// [`SimCluster::pump_blocked`] to collect the pushed wakes.
+#[derive(Debug)]
 pub struct SimBlocked {
-    client_idx: usize,
-    session: BlockingSession,
+    inv: (usize, Invocation),
 }
 
 impl std::fmt::Debug for SimCluster {
@@ -1099,6 +869,81 @@ mod tests {
         assert_eq!(
             c.invoke(1, OpCall::rdp(template!["FORGE", ?x])),
             Some(OpResult::Tuple(None))
+        );
+    }
+
+    #[test]
+    fn timed_out_take_keeps_the_tuple_its_cancel_lost_to() {
+        // The matching out commits before the take's deadline-driven
+        // Cancel, so the registration fired and the tuple left the space
+        // at every replica. The cancel must therefore lose the race, and
+        // the take must return the tuple — reading "cancelled" from the
+        // parked acks would lose it for good.
+        let mut c = cluster(1, &[100, 101]);
+        let (mut blocked, immediate) = c.begin_blocking(0, template!["RACE", ?x], WaitKind::Take);
+        assert_eq!(immediate, None);
+        assert_eq!(
+            c.invoke(1, OpCall::out(tuple!["RACE", 1])),
+            Some(OpResult::Done)
+        );
+        // Every replica's wake is delivered, unread, before the deadline.
+        c.settle(2_000);
+        assert_eq!(
+            c.cancel_blocked(&mut blocked),
+            Some(OpResult::Tuple(Some(tuple!["RACE", 1]))),
+            "the take must return the tuple it consumed"
+        );
+        assert_eq!(
+            c.invoke(1, OpCall::rdp(template!["RACE", ?x])),
+            Some(OpResult::Tuple(None)),
+            "the tuple is gone from the space"
+        );
+        assert!(c.footprints().iter().all(|fp| fp.registrations == 0));
+    }
+
+    #[test]
+    fn timed_out_take_with_no_match_is_cancelled() {
+        let mut c = cluster(1, &[100, 101]);
+        let (mut blocked, _) = c.begin_blocking(0, template!["NONE", ?x], WaitKind::Take);
+        assert_eq!(c.cancel_blocked(&mut blocked), Some(OpResult::Tuple(None)));
+        assert_eq!(
+            c.invoke(1, OpCall::out(tuple!["NONE", 1])),
+            Some(OpResult::Done)
+        );
+        assert_eq!(
+            c.invoke(1, OpCall::rdp(template!["NONE", ?x])),
+            Some(OpResult::Tuple(Some(tuple!["NONE", 1]))),
+            "no cancelled waiter consumed the later tuple"
+        );
+    }
+
+    #[test]
+    fn fast_reads_rotate_the_probe_window_off_a_crashed_replica() {
+        // Replica 1 sits in the initial f+1 probe window and never
+        // answers. Reads that probe it widen after the probe timeout and
+        // rotate the preferred window; every read still decides on the
+        // fast path, and the window ends up clear of the crashed replica.
+        let mut c = cluster(1, &[100]);
+        c.set_fault(1, FaultMode::Crashed);
+        assert_eq!(c.client(0).probe_window(), vec![0, 1]);
+        assert_eq!(
+            c.invoke(0, OpCall::out(tuple!["SIL", 1])),
+            Some(OpResult::Done)
+        );
+        let execs = c.last_execs();
+        for _ in 0..10 {
+            assert_eq!(
+                c.invoke_read(0, OpCall::rdp(template!["SIL", ?x])),
+                Some(OpResult::Tuple(Some(tuple!["SIL", 1])))
+            );
+        }
+        assert_eq!(c.client(0).fast_reads_served(), 10);
+        assert_eq!(c.client(0).fast_read_fallbacks(), 0);
+        assert_eq!(c.last_execs(), execs, "no read was ordered");
+        assert!(
+            !c.client(0).probe_window().contains(&1),
+            "the probe window must rotate off the crashed replica: {:?}",
+            c.client(0).probe_window()
         );
     }
 

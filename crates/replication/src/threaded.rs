@@ -1,32 +1,38 @@
-//! Thread-backed deployment: the replicated PEATS as a real concurrent
-//! service inside one process, built on the transport-generic runtime of
-//! [`crate::runtime`] instantiated with
-//! [`ThreadNet`](peats_netsim::ThreadNet).
+//! In-process deployments: the replicated PEATS as a real concurrent
+//! service inside one process, every replica a thread running the
+//! transport-generic [`replica_main`] and every client a
+//! [`ReplicatedPeats`] handle.
 //!
-//! This is the fast wall-clock verification tier (the performance
-//! experiments, E12): every operation is a MAC-sealed request broadcast to
-//! `3f+1` replica threads, ordered by the BFT protocol (batched and
-//! pipelined — see [`ReplicaConfig`](crate::replica::ReplicaConfig)),
-//! executed against each replica's policy-enforced space, and voted on
-//! client-side (`f+1` matching replies). The exact same
-//! [`replica_main`]/[`ReplicatedPeats`] code deployed over TCP sockets by
-//! `peats-net`'s `peatsd` daemon runs here over in-memory channels — the
-//! harness below differs from a real cluster only in its [`Transport`].
+//! One [`Cluster`] serves every transport; a small [`Fabric`] supplies
+//! the endpoints. [`ThreadedCluster`] runs over in-memory channels
+//! ([`Threads`]) — the fast wall-clock verification tier (the performance
+//! experiments, E12). `peats-net`'s `TcpCluster` runs the same cluster
+//! over loopback sockets, where every message crosses the kernel's TCP
+//! stack; its fabric also holds the listening sockets that let
+//! [`kill_replica`](Cluster::kill_replica) /
+//! [`respawn_replica`](Cluster::respawn_replica) bring a wiped replica
+//! back on its old address.
 //!
-//! Because the handle implements [`peats::TupleSpace`], every algorithm in
+//! Every operation is a MAC-sealed request broadcast to `3f+1` replica
+//! threads, ordered by the BFT protocol (batched and pipelined — see
+//! [`ReplicaConfig`]), executed against each replica's policy-enforced
+//! space, and voted on client-side (`f+1` matching replies). Because the
+//! handle implements [`peats::TupleSpace`], every algorithm in
 //! `peats-consensus` and `peats-universal` runs unmodified on top of it —
 //! the paper's Fig. 2 picture, end to end.
 
+use crate::client::ClientConfig;
 use crate::faults::FaultMode;
+use crate::messages::ReplicaId;
 use crate::replica::{
     Replica, ReplicaConfig, ReplicaFootprint, DEFAULT_BATCH_CAP, DEFAULT_CHECKPOINT_INTERVAL,
     DEFAULT_MAX_IN_FLIGHT,
 };
-use crate::runtime::{replica_main, ClientConfig, ReplicatedPeats};
+use crate::runtime::{replica_main, ReplicatedPeats};
 use crate::service::PeatsService;
-use crate::wal::{DurableConfig, DurableStore};
+use crate::wal::{DurableConfig, DurableStore, RecoveryReport};
 use peats_auth::KeyTable;
-use peats_netsim::{ThreadMailbox, ThreadNet};
+use peats_netsim::{NodeId, ThreadMailbox, ThreadNet, Transport};
 use peats_policy::{Policy, PolicyError, PolicyParams};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -34,7 +40,8 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-/// Deployment-wide configuration for a [`ThreadedCluster`].
+/// Deployment-wide configuration: the replicas' protocol knobs, their
+/// durability, and the client handles' timing.
 #[derive(Clone, Debug)]
 pub struct ClusterConfig {
     /// Maximum requests per `PrePrepare` batch (see
@@ -77,6 +84,12 @@ impl Default for ClusterConfig {
     }
 }
 
+impl AsRef<ClusterConfig> for ClusterConfig {
+    fn as_ref(&self) -> &ClusterConfig {
+        self
+    }
+}
+
 impl ClusterConfig {
     /// The pre-batching behavior — one slot per request the moment it
     /// arrives. The benchmark baseline.
@@ -87,29 +100,118 @@ impl ClusterConfig {
             ..ClusterConfig::default()
         }
     }
+
+    /// Builds replica `id` of an `n = 3f+1` deployment under this
+    /// configuration. With `data_dir` set it first recovers from (and
+    /// keeps logging to) `data_dir/replica-<id>`; on a disk error the
+    /// replica stays memory-only and the error is returned for the caller
+    /// to report — or to refuse to serve, as `peatsd` does.
+    pub fn build_replica(
+        &self,
+        id: ReplicaId,
+        f: usize,
+        service: PeatsService,
+        registry: BTreeMap<u64, u64>,
+    ) -> (Replica, std::io::Result<Option<RecoveryReport>>) {
+        let cfg = ReplicaConfig {
+            batch_cap: self.batch_cap,
+            max_in_flight: self.max_in_flight,
+            checkpoint_interval: self.checkpoint_interval,
+            ..ReplicaConfig::new(id, 3 * f + 1, f)
+        };
+        let mut replica = Replica::new(cfg, service, registry);
+        let disk = match &self.data_dir {
+            None => Ok(None),
+            Some(root) => DurableStore::open(&root.join(format!("replica-{id}")), self.durable)
+                .map(|(store, recovery)| Some(replica.restore_durable(store, recovery))),
+        };
+        (replica, disk)
+    }
 }
 
-/// A running thread-backed replicated PEATS.
-pub struct ThreadedCluster {
+/// The endpoints a [`Cluster`] runs over: one per replica (nodes
+/// `0..n`) and one per client (nodes `n..`).
+pub trait Fabric {
+    /// The transport every endpoint speaks.
+    type Net: Transport;
+    /// The deployment configuration: [`ClusterConfig`] plus any transport
+    /// knobs.
+    type Config: AsRef<ClusterConfig>;
+    /// Sets the fabric up for `n_replicas` replicas and `n_clients`
+    /// clients.
+    fn open(config: &Self::Config, n_replicas: usize, n_clients: usize) -> Self;
+    /// Replica `id`'s endpoint: at start, and again when a killed replica
+    /// respawns.
+    fn replica_endpoint(&mut self, id: NodeId) -> (Self::Net, <Self::Net as Transport>::Mailbox);
+    /// The endpoint of the client at `node`.
+    fn client_endpoint(&mut self, node: NodeId) -> (Self::Net, <Self::Net as Transport>::Mailbox);
+    /// Cuts an endpoint's connections (kill and shutdown). Thread
+    /// channels have none to cut.
+    fn close(_net: &Self::Net) {}
+}
+
+/// In-memory channels ([`ThreadNet`]). Each endpoint opens once, so a
+/// killed replica cannot respawn here — use
+/// [`restart_replica`](Cluster::restart_replica) instead.
+#[derive(Debug)]
+pub struct Threads {
     net: ThreadNet,
-    n_replicas: usize,
+    mailboxes: Vec<Option<ThreadMailbox>>,
+}
+
+impl Fabric for Threads {
+    type Net = ThreadNet;
+    type Config = ClusterConfig;
+
+    fn open(_: &ClusterConfig, n_replicas: usize, n_clients: usize) -> Self {
+        let (net, mailboxes) = ThreadNet::new(n_replicas + n_clients);
+        Threads {
+            net,
+            mailboxes: mailboxes.into_iter().map(Some).collect(),
+        }
+    }
+
+    fn replica_endpoint(&mut self, id: NodeId) -> (ThreadNet, ThreadMailbox) {
+        self.client_endpoint(id)
+    }
+
+    fn client_endpoint(&mut self, node: NodeId) -> (ThreadNet, ThreadMailbox) {
+        let mailbox = self.mailboxes[node as usize]
+            .take()
+            .expect("a thread-channel endpoint opens once");
+        (self.net.clone(), mailbox)
+    }
+}
+
+/// The replicated PEATS over in-memory channels.
+pub type ThreadedCluster = Cluster<Threads>;
+
+/// One replica's running seat.
+struct Seat<N> {
+    /// Shared with the replica's thread (which owns the mailbox); tests
+    /// use it for fault injection, restarts, and introspection.
+    replica: Arc<parking_lot::Mutex<Replica>>,
+    net: N,
+    stop: Arc<AtomicBool>,
+    join: Option<JoinHandle<()>>,
+}
+
+/// A running in-process replicated PEATS over fabric `F`.
+pub struct Cluster<F: Fabric> {
+    fabric: F,
     f: usize,
-    master: Vec<u8>,
-    client_slots: Vec<Option<(ThreadMailbox, u64)>>,
-    client_cfg: ClientConfig,
-    /// Shared handles onto the replica state machines (their threads own
-    /// the mailboxes; tests use these for fault injection, restarts, and
-    /// bounded-memory introspection).
-    replicas: Vec<Arc<parking_lot::Mutex<Replica>>>,
-    /// Everything needed to build a fresh replica on
-    /// [`restart_replica`](Self::restart_replica).
+    seats: Vec<Seat<F::Net>>,
+    client_slots: Vec<Option<u64>>,
+    client_nets: Vec<F::Net>,
+    /// Everything needed to build a fresh replica on a restart.
     policy: Policy,
     params: PolicyParams,
     registry: BTreeMap<u64, u64>,
     config: ClusterConfig,
-    stop: Arc<AtomicBool>,
-    joins: Vec<JoinHandle<()>>,
 }
+
+/// The MAC master secret of in-process deployments.
+const MASTER: &[u8] = b"peats-cluster-master";
 
 impl ThreadedCluster {
     /// Spawns `3f+1` replica threads hosting a PEATS with
@@ -137,9 +239,13 @@ impl ThreadedCluster {
             ClusterConfig::default(),
         )
     }
+}
 
-    /// [`ThreadedCluster::start`] with explicit batching/pipelining and
-    /// timing configuration.
+impl<F: Fabric> Cluster<F> {
+    /// Spawns `3f+1` replica threads on a fresh fabric, hosting a PEATS
+    /// with `policy`/`params` under `config`; provisions one client slot
+    /// per entry of `client_pids`. `faults[i]` (when provided) injects a
+    /// fault into replica `i`.
     ///
     /// # Errors
     ///
@@ -151,193 +257,198 @@ impl ThreadedCluster {
         f: usize,
         client_pids: &[u64],
         faults: &[FaultMode],
-        config: ClusterConfig,
+        config: F::Config,
     ) -> Result<Self, PolicyError> {
         let n_replicas = 3 * f + 1;
-        let master = b"peats-threaded-master".to_vec();
-        let (net, mut mailboxes) = ThreadNet::new(n_replicas + client_pids.len());
-        let registry: BTreeMap<u64, u64> = client_pids
+        let registry = client_pids
             .iter()
             .enumerate()
             .map(|(i, pid)| ((n_replicas + i) as u64, *pid))
             .collect();
-
-        let stop = Arc::new(AtomicBool::new(false));
-        let mut joins = Vec::new();
-        let mut replicas = Vec::new();
-        // Spawn replicas (mailboxes 0..n).
-        let client_boxes = mailboxes.split_off(n_replicas);
-        for (id, mailbox) in mailboxes.into_iter().enumerate() {
-            let service = PeatsService::new(policy.clone(), params.clone())?;
-            let mut replica = Replica::new(
-                ReplicaConfig {
-                    batch_cap: config.batch_cap,
-                    max_in_flight: config.max_in_flight,
-                    checkpoint_interval: config.checkpoint_interval,
-                    ..ReplicaConfig::new(id as u32, n_replicas, f)
-                },
-                service,
-                registry.clone(),
-            );
-            if let Some(fault) = faults.get(id) {
-                replica.set_fault(fault.clone());
-            }
-            attach_durable(&mut replica, &config, id);
-            let replica = Arc::new(parking_lot::Mutex::new(replica));
-            replicas.push(Arc::clone(&replica));
-            let keys = KeyTable::new(id as u64, master.clone());
-            let net = net.clone();
-            let stop = Arc::clone(&stop);
-            let progress_period = config.progress_period;
-            joins.push(std::thread::spawn(move || {
-                replica_main::<ThreadNet>(
-                    replica,
-                    keys,
-                    mailbox,
-                    net,
-                    n_replicas,
-                    stop,
-                    progress_period,
-                );
-            }));
-        }
-
-        let client_slots = client_boxes
-            .into_iter()
-            .zip(client_pids)
-            .map(|(mb, pid)| Some((mb, *pid)))
-            .collect();
-
-        Ok(ThreadedCluster {
-            net,
-            n_replicas,
+        let mut cluster = Cluster {
+            fabric: F::open(&config, n_replicas, client_pids.len()),
             f,
-            master,
-            client_slots,
-            client_cfg: config.client.clone(),
-            replicas,
+            seats: Vec::with_capacity(n_replicas),
+            client_slots: client_pids.iter().copied().map(Some).collect(),
+            client_nets: Vec::new(),
             policy,
             params,
             registry,
-            config,
+            config: config.as_ref().clone(),
+        };
+        for id in 0..n_replicas {
+            let mut replica = cluster.fresh_replica(id)?;
+            if let Some(fault) = faults.get(id) {
+                replica.set_fault(fault.clone());
+            }
+            let seat = cluster.spawn(id, Arc::new(parking_lot::Mutex::new(replica)));
+            cluster.seats.push(seat);
+        }
+        Ok(cluster)
+    }
+
+    /// A brand-new state machine for replica `id`, recovered from its data
+    /// dir when the deployment is durable. Disk failure is non-fatal: the
+    /// replica keeps running memory-only, matching the degrade policy of
+    /// the [`wal`](crate::wal) module.
+    fn fresh_replica(&self, id: usize) -> Result<Replica, PolicyError> {
+        let service = PeatsService::new(self.policy.clone(), self.params.clone())?;
+        let registry = self.registry.clone();
+        let (replica, disk) = self
+            .config
+            .build_replica(id as ReplicaId, self.f, service, registry);
+        if let Err(e) = disk {
+            eprintln!("replica {id}: disk unavailable ({e}); running memory-only");
+        }
+        Ok(replica)
+    }
+
+    fn spawn(&mut self, id: usize, replica: Arc<parking_lot::Mutex<Replica>>) -> Seat<F::Net> {
+        let (net, mailbox) = self.fabric.replica_endpoint(id as NodeId);
+        let stop = Arc::new(AtomicBool::new(false));
+        let join = {
+            let (replica, net, stop) = (Arc::clone(&replica), net.clone(), Arc::clone(&stop));
+            let keys = KeyTable::new(id as u64, MASTER.to_vec());
+            let (n, period) = (self.n_replicas(), self.config.progress_period);
+            std::thread::spawn(move || replica_main(replica, keys, mailbox, net, n, stop, period))
+        };
+        Seat {
+            replica,
+            net,
             stop,
-            joins,
-        })
+            join: Some(join),
+        }
     }
 
     /// Number of replicas.
     pub fn n_replicas(&self) -> usize {
-        self.n_replicas
+        3 * self.f + 1
     }
 
     /// Injects a fault mode into a running replica (crash/recover
     /// experiments).
     pub fn set_fault(&self, id: usize, fault: FaultMode) {
-        self.replicas[id].lock().set_fault(fault);
+        self.seats[id].replica.lock().set_fault(fault);
     }
 
     /// Replaces replica `id`'s state machine with a brand-new one (fresh
-    /// service, empty log, view 0) — a crash-and-restart with no disk. The
-    /// replica's thread, mailbox, and keys survive; recovery must go
-    /// through checkpoint detection and snapshot state transfer.
+    /// service, empty log, view 0) — a crash-and-restart. The replica's
+    /// thread, endpoint, and keys survive; a memory-only replica recovers
+    /// through checkpoint detection and snapshot state transfer, a durable
+    /// one from its data dir first.
     pub fn restart_replica(&self, id: usize) {
-        let service = PeatsService::new(self.policy.clone(), self.params.clone())
+        let fresh = self
+            .fresh_replica(id)
             .expect("policy parameters were already validated at start");
-        let mut fresh = Replica::new(
-            ReplicaConfig {
-                batch_cap: self.config.batch_cap,
-                max_in_flight: self.config.max_in_flight,
-                checkpoint_interval: self.config.checkpoint_interval,
-                ..ReplicaConfig::new(id as u32, self.n_replicas, self.f)
-            },
-            service,
-            self.registry.clone(),
+        *self.seats[id].replica.lock() = fresh;
+    }
+
+    /// Tears replica `id` down hard: stops its event loop and cuts its
+    /// endpoint's connections. Peers see dead sockets and fall back to
+    /// reconnect-with-backoff.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the replica's thread panicked.
+    pub fn kill_replica(&mut self, id: usize) {
+        let seat = &mut self.seats[id];
+        seat.stop.store(true, Ordering::Relaxed);
+        F::close(&seat.net);
+        if let Some(join) = seat.join.take() {
+            join.join().expect("replica thread panicked");
+        }
+    }
+
+    /// Brings a killed replica back *wiped* — fresh state machine, empty
+    /// log, view 0 — on a reopened endpoint. Recovery must go through
+    /// reconnection, checkpoint detection, and snapshot state transfer,
+    /// exactly like a process restarted after a crash.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the replica was not killed first, or if the fabric
+    /// cannot reopen an endpoint ([`Threads`]).
+    pub fn respawn_replica(&mut self, id: usize) {
+        assert!(
+            self.seats[id].join.is_none(),
+            "respawn_replica requires kill_replica first"
         );
-        attach_durable(&mut fresh, &self.config, id);
-        *self.replicas[id].lock() = fresh;
+        self.restart_replica(id);
+        let replica = Arc::clone(&self.seats[id].replica);
+        self.seats[id] = self.spawn(id, replica);
     }
 
     /// Replica `id`'s last executed sequence number.
     pub fn last_exec(&self, id: usize) -> u64 {
-        self.replicas[id].lock().last_exec()
+        self.seats[id].replica.lock().last_exec()
     }
 
     /// Replica `id`'s stable checkpoint.
     pub fn stable_seq(&self, id: usize) -> u64 {
-        self.replicas[id].lock().stable_seq()
+        self.seats[id].replica.lock().stable_seq()
     }
 
     /// Replica `id`'s memory footprint (bounded-memory assertions).
     pub fn replica_footprint(&self, id: usize) -> ReplicaFootprint {
-        self.replicas[id].lock().footprint()
+        self.seats[id].replica.lock().footprint()
     }
 
     /// Replica `id`'s service state digest (divergence checks).
     pub fn state_digest(&self, id: usize) -> peats_auth::Digest {
-        self.replicas[id].lock().state_digest()
+        self.seats[id].replica.lock().state_digest()
     }
 
     /// Takes the [`TupleSpace`](peats::TupleSpace) handle for client slot
-    /// `idx`, spawning its reply-router thread. Clones of the handle share
-    /// the router and invoke concurrently.
+    /// `idx`, opening its endpoint and spawning its reply-router thread.
+    /// Clones of the handle share the router and invoke concurrently.
     ///
     /// # Panics
     ///
     /// Panics if the slot was already taken.
-    pub fn handle(&mut self, idx: usize) -> ReplicatedPeats {
-        let (mailbox, pid) = self.client_slots[idx]
+    pub fn handle(&mut self, idx: usize) -> ReplicatedPeats<F::Net> {
+        let pid = self.client_slots[idx]
             .take()
             .expect("client slot already taken");
-        let keys = KeyTable::new(u64::from(mailbox.id()), self.master.clone());
-        ReplicatedPeats::connect(
-            self.net.clone(),
-            mailbox,
-            keys,
-            pid,
-            self.f,
-            self.n_replicas,
-            self.client_cfg.clone(),
-        )
+        let node = (self.n_replicas() + idx) as NodeId;
+        let (net, mailbox) = self.fabric.client_endpoint(node);
+        self.client_nets.push(net.clone());
+        let keys = KeyTable::new(u64::from(node), MASTER.to_vec());
+        let (f, n, cfg) = (self.f, self.n_replicas(), self.config.client.clone());
+        ReplicatedPeats::connect(net, mailbox, keys, pid, f, n, cfg)
     }
 
-    /// Stops all replica threads and waits for them.
+    /// Stops every replica thread and client endpoint and waits for the
+    /// replica threads to exit.
     pub fn shutdown(mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        for j in self.joins.drain(..) {
-            let _ = j.join();
+        self.teardown();
+    }
+
+    fn teardown(&mut self) {
+        for seat in &self.seats {
+            seat.stop.store(true, Ordering::Relaxed);
+            F::close(&seat.net);
+        }
+        for net in &self.client_nets {
+            F::close(net);
+        }
+        for seat in &mut self.seats {
+            if let Some(join) = seat.join.take() {
+                let _ = join.join();
+            }
         }
     }
 }
 
-/// Opens `data_dir/replica-<id>` and restores the replica from whatever
-/// durable state is found there. Disk failure is non-fatal: the replica
-/// keeps running memory-only, matching the degrade policy of the
-/// [`wal`](crate::wal) module.
-fn attach_durable(replica: &mut Replica, config: &ClusterConfig, id: usize) {
-    let Some(root) = &config.data_dir else {
-        return;
-    };
-    match DurableStore::open(&root.join(format!("replica-{id}")), config.durable) {
-        Ok((store, recovery)) => {
-            replica.restore_durable(store, recovery);
-        }
-        Err(e) => eprintln!("replica {id}: disk unavailable ({e}); running memory-only"),
-    }
-}
-
-impl Drop for ThreadedCluster {
+impl<F: Fabric> Drop for Cluster<F> {
     fn drop(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        for j in self.joins.drain(..) {
-            let _ = j.join();
-        }
+        self.teardown();
     }
 }
 
-impl std::fmt::Debug for ThreadedCluster {
+impl<F: Fabric> std::fmt::Debug for Cluster<F> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ThreadedCluster")
-            .field("replicas", &self.n_replicas)
+        f.debug_struct("Cluster")
+            .field("replicas", &self.n_replicas())
             .finish()
     }
 }
